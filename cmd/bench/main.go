@@ -321,34 +321,31 @@ func benchCosts(tenants int) []costfn.Func {
 }
 
 // throughputSuite is the E10 matrix: policies x cache sizes on the shared
-// large trace, reported as requests/sec. The fast policy is measured twice:
-// on the batched dense loop (its production path) and with NoBatch pinning
-// the per-step loop, so every report carries its own batching speedup.
+// large trace, reported as requests/sec. The fast policy runs on the batched
+// dense loop; the others on the map engine's step.
 func throughputSuite() []Result {
 	tr := benchTrace(4, 4096, 200_000)
 	tr.Dense() // densify once, outside every measured region
 	costs := benchCosts(4)
 	type entry struct {
-		name    string
-		mk      func() sim.Policy
-		ks      []int
-		noBatch bool
+		name string
+		mk   func() sim.Policy
+		ks   []int
 	}
 	all := []int{256, 4096, 65536}
 	suite := []entry{
-		{"fast", func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) }, all, false},
-		{"fast-per-step", func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) }, all, true},
+		{"fast", func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) }, all},
 		// The reference implementation is O(cache) per eviction; only the
 		// smallest size is tractable at benchmark scale.
-		{"discrete", func() sim.Policy { return core.NewDiscrete(core.Options{Costs: costs}) }, []int{256}, false},
-		{"lru", func() sim.Policy { return policy.NewLRU() }, all, false},
-		{"greedy-dual", func() sim.Policy { return policy.NewGreedyDual([]float64{1, 2, 3, 4}) }, all, false},
+		{"discrete", func() sim.Policy { return core.NewDiscrete(core.Options{Costs: costs}) }, []int{256}},
+		{"lru", func() sim.Policy { return policy.NewLRU() }, all},
+		{"greedy-dual", func() sim.Policy { return policy.NewGreedyDual([]float64{1, 2, 3, 4}) }, all},
 	}
 	var out []Result
 	for _, e := range suite {
 		for _, k := range e.ks {
 			name := fmt.Sprintf("throughput/%s/k=%d", e.name, k)
-			cfg := sim.Config{K: k, NoBatch: e.noBatch}
+			cfg := sim.Config{K: k}
 			r := measure(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -408,12 +405,10 @@ func shardedSuite() []Result {
 }
 
 // liveSuite measures the live cache service end to end: a single-shard
-// cached.Service fed the shared trace as wire-shaped requests through Apply
-// in mailbox-sized batches, once on the dense shard core (the production
-// path) and once on the map-mode reference step (Config.MapStep) — so every
-// report carries the live fast-path speedup next to the replay numbers it
-// chases. Each iteration builds a fresh service, so interning and routing
-// overhead is measured, not amortized away; both modes pay it identically.
+// cached.Service on the dense shard core fed the shared trace as wire-shaped
+// requests through Apply in mailbox-sized batches. Each iteration builds a
+// fresh service, so interning and routing overhead is measured, not
+// amortized away.
 func liveSuite() []Result {
 	tr := benchTrace(4, 4096, 200_000)
 	costs := benchCosts(4)
@@ -430,44 +425,34 @@ func liveSuite() []Result {
 	}
 	const k = 4096
 	const batch = 512
-	modes := []struct {
-		name    string
-		mapStep bool
-	}{
-		{"live/fast-dense/n=1/k=4096", false},
-		{"live/fast-map/n=1/k=4096", true},
-	}
-	var out []Result
-	for _, m := range modes {
-		r := measure(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				svc, err := cached.New(cached.Config{
-					K: k, Shards: 1, Tenants: tenants, MapStep: m.mapStep,
-					NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
-				})
-				if err != nil {
+	const name = "live/fast-dense/n=1/k=4096"
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc, err := cached.New(cached.Config{
+				K: k, Shards: 1, Tenants: tenants,
+				NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for lo := 0; lo < len(reqs); lo += batch {
+				hi := lo + batch
+				if hi > len(reqs) {
+					hi = len(reqs)
+				}
+				if _, err := svc.Apply(reqs[lo:hi]); err != nil {
+					svc.Close()
 					b.Fatal(err)
 				}
-				for lo := 0; lo < len(reqs); lo += batch {
-					hi := lo + batch
-					if hi > len(reqs) {
-						hi = len(reqs)
-					}
-					if _, err := svc.Apply(reqs[lo:hi]); err != nil {
-						svc.Close()
-						b.Fatal(err)
-					}
-				}
-				svc.Close()
 			}
-		})
-		res := toResult(m.name, r)
-		res.ReqPerSec = float64(tr.Len()*r.N) / r.T.Seconds()
-		out = append(out, res)
-		fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", m.name, res.ReqPerSec, res.AllocsPerOp)
-	}
-	return out
+			svc.Close()
+		}
+	})
+	res := toResult(name, r)
+	res.ReqPerSec = float64(tr.Len()*r.N) / r.T.Seconds()
+	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
+	return []Result{res}
 }
 
 // experimentSuite benchmarks each experiment table end to end in quick mode,

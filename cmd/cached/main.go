@@ -102,7 +102,6 @@ func runServe(args []string) int {
 		breakFails    = fs.Int("breaker-failures", 0, "consecutive failures that open a circuit (0 = default)")
 		breakOpenFor  = fs.Duration("breaker-open-for", 0, "cooldown before an open circuit half-opens (0 = default)")
 		adaptive      = fs.Bool("adaptive", false, "partition mode: per-tenant quotas steered by the live MRC controller (replaces -policy)")
-		mapStep       = fs.Bool("map-step", false, "run the map-mode reference step instead of the dense shard core (differential debugging)")
 		mrcOn         = fs.Bool("mrc", false, "enable the streaming MRC estimator (implied by -adaptive)")
 		mrcWindow     = fs.Int("mrc-window", 8, "estimator sliding window length in epochs")
 		mrcEpoch      = fs.Int("mrc-epoch", 4096, "requests per estimator epoch (per shard)")
@@ -149,7 +148,6 @@ func runServe(args []string) int {
 		K:        *k,
 		Shards:   *shards,
 		Tenants:  *tenants,
-		MapStep:  *mapStep,
 		Registry: obs.NewRegistry(),
 	}
 	if *adaptive {

@@ -83,4 +83,15 @@ func TestRunRejectsBadScenario(t *testing.T) {
 	if err := run([]string{}, &buf); err == nil {
 		t.Fatal("missing -trace/-scenario accepted")
 	}
+	// The dense engine emits no per-step events, so pinning it under an
+	// observer is a spec mistake, refused before any run.
+	dense := filepath.Join(dir, "dense-observed.json")
+	spec := `{"trace": {"inline": [[0, 1], [0, 2], [0, 1]]}, "k": 2, "engine": "dense", "observers": {"window": 2}}`
+	if err := os.WriteFile(dense, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-scenario", dense}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "dense engine and observers are mutually exclusive") {
+		t.Fatalf("dense engine with an observer: got %v", err)
+	}
 }

@@ -153,6 +153,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestConvexReplacerTieBreak: equal budgets across tenants go to the
+// earliest last touch, the rule core.Fast uses, on every run — not to
+// whichever tenant the replacer's map iteration visits first.
+func TestConvexReplacerTieBreak(t *testing.T) {
+	opt := core.Options{Costs: []costfn.Func{costfn.Linear{W: 1}, costfn.Linear{W: 1}}}
+	never := func(trace.PageID) bool { return false }
+	for run := 0; run < 200; run++ {
+		c := NewConvexReplacer(opt)
+		c.Touch(0, trace.Request{Tenant: 0, Page: 1}, false)
+		c.Touch(1, trace.Request{Tenant: 1, Page: 101}, false)
+		if v, ok := c.Evict(2, trace.Request{Tenant: 0, Page: 2}, never); !ok || v != 1 {
+			t.Fatalf("run %d: victim %d (ok=%v), want page 1, the earliest touch", run, v, ok)
+		}
+		// Re-touch page 101, then insert page 2 after it: the budgets tie
+		// again, and the tie now goes the other way.
+		c.Touch(3, trace.Request{Tenant: 1, Page: 101}, true)
+		c.Touch(4, trace.Request{Tenant: 0, Page: 2}, false)
+		if v, ok := c.Evict(5, trace.Request{Tenant: 0, Page: 3}, never); !ok || v != 101 {
+			t.Fatalf("run %d: second victim %d (ok=%v), want page 101", run, v, ok)
+		}
+	}
+}
+
 func TestConvexReplacerFavorsSteepTenant(t *testing.T) {
 	// Tenant 0 quadratic and already miss-laden, tenant 1 cheap linear:
 	// evictions should fall on tenant 1's pages.

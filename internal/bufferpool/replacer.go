@@ -62,20 +62,23 @@ func (l *LRUReplacer) Reset() {
 
 // ConvexReplacer embeds the paper's budget rule (the core.Fast formulation)
 // in the buffer pool: the victim is the least-recently-used unpinned page of
-// the tenant minimizing marginal(i) - aging(candidate). Pins make the scan
-// walk past the per-tenant LRU end when necessary.
+// the tenant minimizing marginal(i) - aging(candidate), equal budgets going
+// to the earliest last touch as in core.Fast and core.Discrete. Pins make
+// the scan walk past the per-tenant LRU end when necessary.
 type ConvexReplacer struct {
-	opt   core.Options
-	aging float64
-	m     map[trace.Tenant]float64
-	lists map[trace.Tenant]*list.List // front = most recent
-	elem  map[trace.PageID]*list.Element
-	info  map[trace.PageID]*convexPage
+	opt     core.Options
+	aging   float64
+	nextSeq int64
+	m       map[trace.Tenant]float64
+	lists   map[trace.Tenant]*list.List // front = most recent
+	elem    map[trace.PageID]*list.Element
+	info    map[trace.PageID]*convexPage
 }
 
 type convexPage struct {
 	owner    trace.Tenant
 	ageStart float64
+	seq      int64 // last-touch sequence, the tie-break
 }
 
 // NewConvexReplacer builds the replacer with the tenants' cost options.
@@ -87,9 +90,11 @@ func NewConvexReplacer(opt core.Options) *ConvexReplacer {
 
 // Touch implements Replacer.
 func (c *ConvexReplacer) Touch(step int, r trace.Request, hit bool) {
+	c.nextSeq++
 	if e, ok := c.elem[r.Page]; ok {
 		c.lists[r.Tenant].MoveToFront(e)
 		c.info[r.Page].ageStart = c.aging
+		c.info[r.Page].seq = c.nextSeq
 		return
 	}
 	l, ok := c.lists[r.Tenant]
@@ -98,17 +103,20 @@ func (c *ConvexReplacer) Touch(step int, r trace.Request, hit bool) {
 		c.lists[r.Tenant] = l
 	}
 	c.elem[r.Page] = l.PushFront(r.Page)
-	c.info[r.Page] = &convexPage{owner: r.Tenant, ageStart: c.aging}
+	c.info[r.Page] = &convexPage{owner: r.Tenant, ageStart: c.aging, seq: c.nextSeq}
 	if c.opt.CountMisses && !hit {
 		c.m[r.Tenant]++
 	}
 }
 
 // Evict implements Replacer: per tenant, the best candidate is the
-// least-recently-used unpinned page; across tenants the minimum budget wins.
+// least-recently-used unpinned page; across tenants the minimum budget wins,
+// and the earliest last touch breaks ties, so the map's iteration order
+// never decides.
 func (c *ConvexReplacer) Evict(step int, incoming trace.Request, skip func(trace.PageID) bool) (trace.PageID, bool) {
 	var bestPage trace.PageID
 	bestBudget := 0.0
+	bestSeq := int64(0)
 	found := false
 	for tn, l := range c.lists {
 		marg := c.opt.Marginal(tn, c.m[tn])
@@ -117,9 +125,10 @@ func (c *ConvexReplacer) Evict(step int, incoming trace.Request, skip func(trace
 			if skip(p) {
 				continue
 			}
-			b := marg - (c.aging - c.info[p].ageStart)
-			if !found || b < bestBudget {
-				bestPage, bestBudget, found = p, b, true
+			pi := c.info[p]
+			b := marg - (c.aging - pi.ageStart)
+			if !found || b < bestBudget || (b == bestBudget && pi.seq < bestSeq) {
+				bestPage, bestBudget, bestSeq, found = p, b, pi.seq, true
 			}
 			break // older unpinned candidates of this tenant cannot beat this one
 		}
@@ -141,6 +150,7 @@ func (c *ConvexReplacer) Evict(step int, incoming trace.Request, skip func(trace
 // Reset implements Replacer.
 func (c *ConvexReplacer) Reset() {
 	c.aging = 0
+	c.nextSeq = 0
 	c.m = make(map[trace.Tenant]float64)
 	c.lists = make(map[trace.Tenant]*list.List)
 	c.elem = make(map[trace.PageID]*list.Element)

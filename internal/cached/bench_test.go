@@ -32,7 +32,7 @@ func benchRequests(b *testing.B, tenants, pages, length int) []Request {
 	return reqs
 }
 
-func benchService(b *testing.B, mapStep bool) func() *Service {
+func benchService(b *testing.B) func() *Service {
 	b.Helper()
 	costs := []costfn.Func{
 		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 2},
@@ -40,7 +40,7 @@ func benchService(b *testing.B, mapStep bool) func() *Service {
 	}
 	return func() *Service {
 		svc, err := New(Config{
-			K: 4096, Shards: 1, Tenants: 4, MapStep: mapStep,
+			K: 4096, Shards: 1, Tenants: 4,
 			NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
 		})
 		if err != nil {
@@ -50,9 +50,10 @@ func benchService(b *testing.B, mapStep bool) func() *Service {
 	}
 }
 
-func benchApply(b *testing.B, mapStep bool) {
+// BenchmarkApplyDense is the live fast path: single shard on the dense core.
+func BenchmarkApplyDense(b *testing.B) {
 	reqs := benchRequests(b, 4, 4096, 200_000)
-	mk := benchService(b, mapStep)
+	mk := benchService(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,9 +68,3 @@ func benchApply(b *testing.B, mapStep bool) {
 	}
 	b.SetBytes(int64(len(reqs)))
 }
-
-// BenchmarkApplyDense is the live fast path: single shard on the dense core.
-func BenchmarkApplyDense(b *testing.B) { benchApply(b, false) }
-
-// BenchmarkApplyMapStep is the retained map-mode reference step.
-func BenchmarkApplyMapStep(b *testing.B) { benchApply(b, true) }

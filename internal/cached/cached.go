@@ -91,13 +91,6 @@ type Config struct {
 	NewPolicy func() sim.Policy
 	// MailboxDepth is the per-shard channel buffer; <= 0 selects 64.
 	MailboxDepth int
-	// MapStep keeps the map-mode reference step in the shard loop instead of
-	// the dense shard core. Classic mode with a core.Fast policy normally
-	// runs the same SoA denseCore the replay engine uses (the fast path);
-	// this switch retains the original map-backed step, which survives as a
-	// check-only reference — the live/dense-vs-map oracle replays identical
-	// logs through both and demands bit-equal results.
-	MapStep bool
 	// Registry receives the per-shard metrics; nil creates a private one.
 	Registry *obs.Registry
 
@@ -137,6 +130,8 @@ type Service struct {
 	cfg    Config
 	reg    *obs.Registry
 	shards []*shard
+	// policyName labels verify reports in classic mode.
+	policyName string
 	// seq stamps every admitted request with a globally unique, per-shard
 	// monotone sequence number; Verify merges the shard logs by it.
 	seq atomic.Int64
@@ -188,6 +183,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MailboxDepth <= 0 {
 		cfg.MailboxDepth = 64
 	}
+	policyName := "quota-partition"
 	if cfg.Quotas != nil {
 		if len(cfg.Quotas) != cfg.Tenants {
 			return nil, fmt.Errorf("cached: quota vector has %d entries for %d tenants", len(cfg.Quotas), cfg.Tenants)
@@ -219,6 +215,7 @@ func New(cfg Config) (*Service, error) {
 				return nil, fmt.Errorf("cached: policy %s does not support the dense engine required for sharded verify", probe.Name())
 			}
 		}
+		policyName = probe.Name()
 	}
 	if cfg.MRC != nil {
 		mc := *cfg.MRC
@@ -232,7 +229,7 @@ func New(cfg Config) (*Service, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Service{cfg: cfg, reg: reg, shards: make([]*shard, cfg.Shards)}
+	s := &Service{cfg: cfg, reg: reg, shards: make([]*shard, cfg.Shards), policyName: policyName}
 	s.mShardDown = reg.Counter("cached_shard_down_total")
 	s.mShardRestarts = reg.Counter("cached_shard_restarts_total")
 	s.mShed = reg.Counter("cached_shed_total")
@@ -283,7 +280,11 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	for i := range s.shards {
-		s.shards[i] = newShard(s, i, sim.ShardShare(cfg.K, cfg.Shards, i))
+		sh, err := newShard(s, i, sim.ShardShare(cfg.K, cfg.Shards, i))
+		if err != nil {
+			return nil, err
+		}
+		s.shards[i] = sh
 	}
 	if s.walCfg != nil {
 		if hasState {

@@ -112,20 +112,11 @@ func (sh *shard) buildCheckpoint() *checkpoint {
 		ck.Quotas = append([]int(nil), sh.quotasNow...)
 		ck.QuotaPages = sh.qlru.dump()
 	case sh.open != nil:
-		// The dense shard core serializes in the same FastSnapshot format as
-		// the map-mode engine, so dense- and map-mode services can recover
-		// each other's WAL directories.
 		snap := sh.open.Snapshot()
 		ck.Engine = "fast"
 		ck.Fast = &snap
 	default:
-		f, ok := sh.policy.(*core.Fast)
-		if !ok {
-			return nil
-		}
-		snap := f.Snapshot()
-		ck.Engine = "fast"
-		ck.Fast = &snap
+		return nil
 	}
 	for t := range sh.keys {
 		base := len(ck.Keys)
@@ -257,22 +248,11 @@ func (sh *shard) installCheckpoint(ck *checkpoint) error {
 		if ck.Fast == nil {
 			return errors.New("fast checkpoint carries no engine image")
 		}
-		if sh.open != nil {
-			if err := sh.open.Restore(*ck.Fast); err != nil {
-				return fmt.Errorf("checkpoint engine image: %w", err)
-			}
-			break
-		}
-		f, ok := sh.policy.(*core.Fast)
-		if !ok {
+		if sh.open == nil {
 			return errors.New("fast checkpoint does not match the configured policy")
 		}
-		if err := f.Restore(*ck.Fast); err != nil {
+		if err := sh.open.Restore(*ck.Fast); err != nil {
 			return fmt.Errorf("checkpoint engine image: %w", err)
-		}
-		sh.cache = ck.Fast.ResidentPages()
-		if len(sh.cache) > sh.k {
-			return fmt.Errorf("checkpoint engine holds %d resident pages, capacity is %d", len(sh.cache), sh.k)
 		}
 	default:
 		return fmt.Errorf("unknown checkpoint engine %q", ck.Engine)

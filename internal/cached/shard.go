@@ -182,10 +182,10 @@ type ShardSnapshot struct {
 // shard is one single-writer cache partition. All fields below the mailbox
 // are owned exclusively by the loop goroutine — no locks anywhere on the
 // request path (down is the one atomic, read by ingress to shed early). The
-// engine step mirrors sim.runMap exactly (hit → OnHit; miss → optional
-// Victim/OnEvict → OnInsert), so per-shard live counters are bit-identical
-// to a per-shard offline replay of the same log — the property both Verify
-// and crash recovery are built on.
+// engine step is the replay engine's own (the dense core's per-request
+// methods, or sim's map step for other policies), so per-shard live
+// counters are bit-identical to a per-shard offline replay of the same log —
+// the property both Verify and crash recovery are built on.
 type shard struct {
 	svc *Service
 	id  int
@@ -200,14 +200,12 @@ type shard struct {
 	// wal is the shard's write-ahead log; nil when durability is disabled.
 	wal *shardWAL
 
-	// Exactly one engine steps requests: open (the dense shard core —
-	// classic mode's default), policy (classic mode with Config.MapStep, or
-	// a policy without a dense core), or qlru (partition mode, adaptive
-	// per-tenant quotas). When open is active, policy still holds the
-	// constructed policy (it supplies the Options) but is never stepped.
-	open   *core.Open
-	policy sim.Policy
-	qlru   *quotaLRU
+	// Exactly one engine steps requests: open (the dense shard core, for
+	// core.Fast), mc (sim's map step, for any other policy), or qlru
+	// (partition mode, adaptive per-tenant quotas).
+	open *core.Open
+	mc   *sim.MapCache
+	qlru *quotaLRU
 	// sampler is the shard's streaming MRC estimator (nil when disabled);
 	// owned by the loop goroutine like all other state, so Observe runs
 	// lock-free on the request path.
@@ -219,9 +217,6 @@ type shard struct {
 	keys     []keyTable
 	nextPage trace.PageID
 	pages    int
-	// cache maps resident pages to their owning tenant, exactly like the
-	// simulator's map engine.
-	cache map[trace.PageID]trace.Tenant
 	// log holds the entries of the active WAL segment only (the whole
 	// history without a WAL); logStart is the logical index of the first
 	// held entry, and steps = logStart + log.len() is the total logical
@@ -260,7 +255,7 @@ type shard struct {
 	pubReqs, pubHits, pubMisses, pubEvictions int64
 }
 
-func newShard(svc *Service, id, k int) *shard {
+func newShard(svc *Service, id, k int) (*shard, error) {
 	lbl := fmt.Sprintf(`{shard="%d"}`, id)
 	sh := &shard{
 		svc:       svc,
@@ -281,15 +276,8 @@ func newShard(svc *Service, id, k int) *shard {
 		mLog:       svc.reg.Gauge("cached_log_entries" + lbl),
 		mMailbox:   svc.reg.Gauge("cached_shard_mailbox_depth" + lbl),
 	}
-	if svc.cfg.Quotas != nil {
-		sh.qlru = newQuotaLRU(localQuotas(svc.cfg.Quotas, svc.cfg.Shards, id), svc.cfg.Shards, id)
-		sh.quotasNow = append([]int(nil), svc.cfg.Quotas...)
-	} else {
-		sh.policy = svc.cfg.NewPolicy()
-		sh.open = svc.openCore(sh.policy, k, id)
-		if sh.open == nil {
-			sh.cache = make(map[trace.PageID]trace.Tenant, k)
-		}
+	if err := sh.newEngine(); err != nil {
+		return nil, err
 	}
 	if svc.cfg.MRC != nil {
 		mc := *svc.cfg.MRC
@@ -301,27 +289,33 @@ func newShard(svc *Service, id, k int) *shard {
 	if svc.walCfg != nil {
 		sh.wal = newShardWAL(svc.walCfg, id, svc.cfg.Shards)
 	}
-	return sh
+	return sh, nil
 }
 
-// openCore builds the dense shard core for classic mode: the same denseCore
-// the replay engine runs, over this shard's residue-class page ids. Returns
-// nil when the configuration opts out (Config.MapStep), the policy carries
-// no dense core (only core.Fast does), or the shard's capacity share is
-// zero — the map-mode step serves those cases instead.
-func (svc *Service) openCore(p sim.Policy, k, id int) *core.Open {
-	if svc.cfg.MapStep {
+// newEngine builds a fresh engine for the shard: the quota partition in
+// partition mode; otherwise the dense shard core — the same denseCore the
+// replay engine runs, over this shard's residue-class page ids — for
+// core.Fast, and sim's map step for any other policy.
+func (sh *shard) newEngine() error {
+	cfg := sh.svc.cfg
+	sh.open, sh.mc, sh.qlru = nil, nil, nil
+	if cfg.Quotas != nil {
+		sh.qlru = newQuotaLRU(localQuotas(cfg.Quotas, cfg.Shards, sh.id), cfg.Shards, sh.id)
+		sh.quotasNow = append(sh.quotasNow[:0], cfg.Quotas...)
 		return nil
 	}
+	p := cfg.NewPolicy()
 	f, ok := p.(*core.Fast)
 	if !ok {
+		sh.mc = sim.NewMapCache(p, sh.k)
 		return nil
 	}
-	o, err := f.OpenWorld(svc.cfg.Tenants, k, svc.cfg.Shards, id)
+	o, err := f.OpenWorld(cfg.Tenants, sh.k, cfg.Shards, sh.id)
 	if err != nil {
-		return nil
+		return fmt.Errorf("cached: shard %d: %w", sh.id, err)
 	}
-	return o
+	sh.open = o
+	return nil
 }
 
 // localQuotas derives shard id's slice of a global per-tenant quota vector:
@@ -600,71 +594,44 @@ func (sh *shard) apply(r *Request, seq int64) byte {
 }
 
 // stepRequest is the engine step for the already-logged request at logical
-// index steps-1 — sim.runMap's step verbatim. It is the single function
-// both the live path and recovery/rebuild replay run, which is what makes
-// recovered state provably bit-identical. Returns the result byte and the
-// eviction count (0 or 1).
+// index steps-1. It is the single function both the live path and
+// recovery/rebuild replay run, which is what makes recovered state provably
+// bit-identical. Returns the result byte and the eviction count (0 or 1).
 func (sh *shard) stepRequest(page trace.PageID, t trace.Tenant) (byte, int) {
 	sh.reqs++
-	if sh.open != nil {
-		// Dense shard core: the replay engine's denseCore stepped one
-		// request at a time over the interner's residue-class ids. An error
-		// here (out-of-class page, owner flip) is interner corruption; the
-		// shard fails rather than serving requests it cannot replay.
-		hit, vo, err := sh.open.Access(page, t)
-		if err != nil {
-			sh.failed = fmt.Errorf("cached: shard %d: dense core: %w", sh.id, err)
-			return ResultError, 0
-		}
-		if hit {
-			sh.hits[t]++
-			return ResultHit, 0
-		}
-		sh.misses[t]++
-		if vo >= 0 {
-			sh.evictions[vo]++
-			return ResultMiss, 1
-		}
-		return ResultMiss, 0
-	}
-	if sh.qlru != nil {
-		hit, evicted := sh.qlru.Access(t, page)
-		if hit {
-			sh.hits[t]++
-			return ResultHit, 0
-		}
-		sh.misses[t]++
+	var (
+		hit bool
+		vo  = trace.Tenant(-1)
+		err error
+	)
+	switch {
+	case sh.open != nil:
+		// Dense shard core: an error here (out-of-class page, owner flip) is
+		// interner corruption; the shard fails rather than serving requests
+		// it cannot replay.
+		hit, vo, err = sh.open.Access(page, t)
+	case sh.qlru != nil:
+		var evicted bool
+		hit, evicted = sh.qlru.Access(t, page)
 		if evicted {
-			sh.evictions[t]++
-			return ResultMiss, 1
+			vo = t
 		}
-		return ResultMiss, 0
+	default:
+		hit, _, vo, err = sh.mc.Access(sh.steps-1, trace.Request{Page: page, Tenant: t})
 	}
-	step := sh.steps - 1
-	req := trace.Request{Page: page, Tenant: t}
-	if _, resident := sh.cache[page]; resident {
+	if err != nil {
+		sh.failed = fmt.Errorf("cached: shard %d: %w", sh.id, err)
+		return ResultError, 0
+	}
+	if hit {
 		sh.hits[t]++
-		sh.policy.OnHit(step, req)
 		return ResultHit, 0
 	}
 	sh.misses[t]++
-	if len(sh.cache) >= sh.k {
-		victim := sh.policy.Victim(step, req)
-		owner, resident := sh.cache[victim]
-		if !resident {
-			sh.failed = fmt.Errorf("cached: shard %d: policy %s evicted non-resident page %d at step %d",
-				sh.id, sh.policy.Name(), victim, step)
-			return ResultError, 0
-		}
-		delete(sh.cache, victim)
-		sh.evictions[owner]++
-		sh.policy.OnEvict(step, victim)
-		sh.cache[page] = t
-		sh.policy.OnInsert(step, req)
+	if vo >= 0 {
+		sh.evictions[vo]++
 		return ResultMiss, 1
 	}
-	sh.cache[page] = t
-	sh.policy.OnInsert(step, req)
 	return ResultMiss, 0
 }
 
@@ -705,25 +672,12 @@ func (sh *shard) replayEntry(e LogEntry, key []byte) error {
 // (counters, step/sequence bookkeeping). Identity state — key table,
 // nextPage, pages, logs — is left alone; rebuild relies on that.
 func (sh *shard) resetEngine() {
-	cfg := sh.svc.cfg
-	if cfg.Quotas != nil {
-		sh.qlru = newQuotaLRU(localQuotas(cfg.Quotas, cfg.Shards, sh.id), cfg.Shards, sh.id)
-		sh.quotasNow = append(sh.quotasNow[:0], cfg.Quotas...)
-	} else {
-		sh.policy = cfg.NewPolicy()
-		sh.open = sh.svc.openCore(sh.policy, sh.k, sh.id)
-		if sh.open == nil {
-			sh.cache = make(map[trace.PageID]trace.Tenant, sh.k)
-		} else {
-			sh.cache = nil
-		}
-	}
+	sh.failed = sh.newEngine()
 	sh.reqs = 0
 	for t := range sh.hits {
 		sh.hits[t], sh.misses[t], sh.evictions[t] = 0, 0, 0
 	}
 	sh.steps, sh.lastSeq, sh.lastQuotaSeq = 0, 0, 0
-	sh.failed = nil
 }
 
 // rebuild restores the shard after an engine panic by replaying its own
@@ -794,7 +748,7 @@ func (sh *shard) occupancy() int {
 	case sh.open != nil:
 		return sh.open.Used()
 	}
-	return len(sh.cache)
+	return sh.mc.Len()
 }
 
 // publishMetrics reconciles the obs registry with the shard's counters,

@@ -58,7 +58,7 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	}
 	n := len(s.shards)
 	rep := &VerifyReport{
-		Policy: s.engineName(),
+		Policy: s.policyName,
 		K:      s.cfg.K,
 		Shards: n,
 	}
@@ -110,14 +110,6 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	rep.Diffs = diffCounters(rep.Live, rep.Replay, s.cfg.Tenants)
 	rep.Clean = len(rep.Diffs) == 0
 	return rep, nil
-}
-
-// engineName labels the verify report with the active engine.
-func (s *Service) engineName() string {
-	if s.cfg.Quotas != nil {
-		return "quota-partition"
-	}
-	return s.shards[0].policy.Name()
 }
 
 // verifyPartition is the partition-mode differential: every page lives on

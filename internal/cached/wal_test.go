@@ -358,12 +358,9 @@ func (p *opaquePolicy) Victim(step int, r trace.Request) trace.PageID { return p
 func (p *opaquePolicy) OnEvict(step int, pg trace.PageID)             { p.inner.OnEvict(step, pg) }
 func (p *opaquePolicy) Reset()                                        { p.inner.Reset() }
 func (p *opaquePolicy) PrepareDense(d *trace.Dense, k int) bool       { return p.inner.PrepareDense(d, k) }
-func (p *opaquePolicy) DenseHit(step int, page int32)                 { p.inner.DenseHit(step, page) }
-func (p *opaquePolicy) DenseInsert(step int, page int32)              { p.inner.DenseInsert(step, page) }
-func (p *opaquePolicy) DenseVictim(step int, page int32) int32 {
-	return p.inner.DenseVictim(step, page)
+func (p *opaquePolicy) StepBatch(base int, pages []int32, bc *sim.BatchCounters, warm bool) error {
+	return p.inner.StepBatch(base, pages, bc, warm)
 }
-func (p *opaquePolicy) DenseEvict(step int, page int32) { p.inner.DenseEvict(step, page) }
 
 // TestRecoverTornTail damages the durable state by hand: garbage appended to
 // the final segment must be truncated away (recovery succeeds, stats intact),

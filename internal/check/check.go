@@ -72,24 +72,17 @@ func AsError(vs []Violation) error {
 
 // Checked wraps a sim.Policy with a shadow cache model validating the
 // engine<->policy contract at every callback. It forwards the OfflinePolicy
-// and DensePolicy capabilities of the wrapped policy, so wrapping never
-// changes which engine drives the run.
+// capability of the wrapped policy but not DensePolicy: the dense engine
+// serves requests in batches inside the policy, where no callback exists to
+// check, so a wrapped policy always runs on the map engine.
 type Checked struct {
 	inner sim.Policy
 
-	// Map-path shadow state.
 	resident map[trace.PageID]trace.Tenant
 	owner    map[trace.PageID]trace.Tenant
 
-	// Dense-path shadow state.
-	d          *trace.Dense
-	denseK     int
-	denseIn    []bool
-	denseCount int
-
 	// kHat is the occupancy observed at the first Victim call: the engine
-	// only asks for a victim when the cache is full, so this pins k on the
-	// map path (where PrepareDense never tells us).
+	// only asks for a victim when the cache is full, so this pins k.
 	kHat int
 
 	violations []Violation
@@ -120,10 +113,6 @@ func (c *Checked) violate(step int, kind, format string, args ...any) {
 func (c *Checked) resetShadow() {
 	c.resident = make(map[trace.PageID]trace.Tenant)
 	c.owner = make(map[trace.PageID]trace.Tenant)
-	c.d = nil
-	c.denseIn = nil
-	c.denseCount = 0
-	c.denseK = 0
 	c.kHat = 0
 }
 
@@ -206,72 +195,4 @@ func (c *Checked) checkOwner(step int, r trace.Request) {
 		return
 	}
 	c.owner[r.Page] = r.Tenant
-}
-
-// PrepareDense forwards the dense handshake when the wrapped policy has a
-// dense path; otherwise it declines so the engine falls back to the map
-// loop, exactly as it would for the unwrapped policy.
-func (c *Checked) PrepareDense(d *trace.Dense, k int) bool {
-	dp, ok := c.inner.(sim.DensePolicy)
-	if !ok {
-		return false
-	}
-	if !dp.PrepareDense(d, k) {
-		return false
-	}
-	c.d = d
-	c.denseK = k
-	c.denseIn = make([]bool, d.NumPages())
-	c.denseCount = 0
-	return true
-}
-
-// DenseHit implements sim.DensePolicy.
-func (c *Checked) DenseHit(step int, page int32) {
-	if !c.denseResident(page) {
-		c.violate(step, "residency", "DenseHit for page %d which the shadow model holds absent", page)
-	}
-	c.inner.(sim.DensePolicy).DenseHit(step, page)
-}
-
-// DenseInsert implements sim.DensePolicy.
-func (c *Checked) DenseInsert(step int, page int32) {
-	if c.denseResident(page) {
-		c.violate(step, "residency", "DenseInsert for page %d which is already resident", page)
-	} else if int(page) < len(c.denseIn) && page >= 0 {
-		c.denseIn[page] = true
-		c.denseCount++
-	}
-	if c.denseCount > c.denseK {
-		c.violate(step, "occupancy", "dense occupancy %d exceeds capacity %d after insert of page %d",
-			c.denseCount, c.denseK, page)
-	}
-	c.inner.(sim.DensePolicy).DenseInsert(step, page)
-}
-
-// DenseVictim implements sim.DensePolicy.
-func (c *Checked) DenseVictim(step int, page int32) int32 {
-	if c.denseCount != c.denseK {
-		c.violate(step, "occupancy", "DenseVictim called at occupancy %d with capacity %d", c.denseCount, c.denseK)
-	}
-	v := c.inner.(sim.DensePolicy).DenseVictim(step, page)
-	if !c.denseResident(v) {
-		c.violate(step, "victim", "policy %s returned dense victim %d not in the shadow cache", c.inner.Name(), v)
-	}
-	return v
-}
-
-// DenseEvict implements sim.DensePolicy.
-func (c *Checked) DenseEvict(step int, page int32) {
-	if !c.denseResident(page) {
-		c.violate(step, "residency", "DenseEvict for page %d which the shadow model holds absent", page)
-	} else {
-		c.denseIn[page] = false
-		c.denseCount--
-	}
-	c.inner.(sim.DensePolicy).DenseEvict(step, page)
-}
-
-func (c *Checked) denseResident(page int32) bool {
-	return page >= 0 && int(page) < len(c.denseIn) && c.denseIn[page]
 }

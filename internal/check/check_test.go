@@ -86,15 +86,25 @@ func TestWrapCleanPoliciesPass(t *testing.T) {
 	}
 }
 
-func TestWrapForwardsDensePath(t *testing.T) {
+// TestWrapRunsOnMapEngine pins that wrapping hides the dense path — the
+// batched engine has no per-request callbacks to check — and that the
+// wrapped map-engine run of Fast agrees with its unwrapped dense run.
+func TestWrapRunsOnMapEngine(t *testing.T) {
 	tr := singleTenant(t, 1, 2, 3, 1, 4, 2, 1)
-	f := core.NewFast(core.Options{})
-	c := Wrap(f)
-	if _, err := sim.Run(tr, c, sim.Config{K: 2, Engine: sim.EngineDense}); err != nil {
-		t.Fatalf("wrapped Fast lost its dense path: %v", err)
+	if _, err := sim.Run(tr, Wrap(core.NewFast(core.Options{})), sim.Config{K: 2, Engine: sim.EngineDense}); err == nil {
+		t.Fatal("wrapped Fast ran on the dense engine")
+	}
+	c := Wrap(core.NewFast(core.Options{}))
+	got, err := sim.Run(tr, c, sim.Config{K: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Err(); err != nil {
-		t.Fatalf("false positive on dense Fast: %v", err)
+		t.Fatalf("false positive on Fast: %v", err)
+	}
+	want := sim.MustRun(tr, core.NewFast(core.Options{}), sim.Config{K: 2, Engine: sim.EngineDense})
+	if got.Hits != want.Hits || got.TotalMisses() != want.TotalMisses() || got.TotalEvictions() != want.TotalEvictions() {
+		t.Fatalf("wrapped map run %+v differs from dense run %+v", got, want)
 	}
 }
 

@@ -111,18 +111,25 @@ func describeRecord(r StepRecord) string {
 // diverging step, or nil when the runs agree bit-for-bit. The factories are
 // re-invoked during minimization, so they must return fresh instances.
 func DiffPolicies(tr *trace.Trace, k int, mkA, mkB func() sim.Policy, engA, engB sim.Engine) (*Divergence, error) {
-	div, err := diffOnce(tr, k, mkA, mkB, engA, engB)
+	return minimizeDivergence(tr, func(t *trace.Trace) (*Divergence, error) {
+		return diffOnce(t, k, mkA, mkB, engA, engB)
+	})
+}
+
+// minimizeDivergence runs once on tr and, on divergence, ddmin-minimizes the
+// trace and re-derives the report on the minimized repro, so the report
+// matches the trace a regression test would commit.
+func minimizeDivergence(tr *trace.Trace, once func(*trace.Trace) (*Divergence, error)) (*Divergence, error) {
+	div, err := once(tr)
 	if err != nil || div == nil {
 		return div, err
 	}
 	div.Repro = MinimizeTrace(tr, func(t *trace.Trace) bool {
-		d, err := diffOnce(t, k, mkA, mkB, engA, engB)
+		d, err := once(t)
 		return err == nil && d != nil
 	})
-	// Re-derive the step/description on the minimized trace so the report
-	// matches the committed repro.
 	if div.Repro != nil {
-		if d2, err := diffOnce(div.Repro, k, mkA, mkB, engA, engB); err == nil && d2 != nil {
+		if d2, err := once(div.Repro); err == nil && d2 != nil {
 			d2.Repro = div.Repro
 			return d2, nil
 		}
@@ -143,19 +150,55 @@ func diffOnce(tr *trace.Trace, k int, mkA, mkB func() sim.Policy, engA, engB sim
 }
 
 // DiffEngines replays the trace through one dense-capable policy twice —
-// once on the dense engine, once forced onto the map engine — and reports
-// the first diverging step. This is the oracle guarding the PR-1 fast path:
-// the two loops must be observably identical for every DensePolicy.
+// once on the batched dense engine, once on the map engine, which drives
+// the policy's per-request sim.Policy methods — and reports any divergence
+// in the per-tenant accounting. When the policy is core.Fast the final
+// snapshots (aging, per-tenant counters, per-tenant recency order) are
+// compared too, which catches internal-state drift that happens not to
+// change the counters on this trace. The dense engine emits no per-step
+// events, so divergences are aggregate-level (Step == -1); the trace is
+// ddmin-minimized like the other oracles.
 func DiffEngines(tr *trace.Trace, k int, mk func() sim.Policy) (*Divergence, error) {
-	return DiffPolicies(tr, k, mk, mk, sim.EngineDense, sim.EngineMap)
+	return minimizeDivergence(tr, func(t *trace.Trace) (*Divergence, error) {
+		return diffEnginesOnce(t, k, mk)
+	})
+}
+
+func diffEnginesOnce(tr *trace.Trace, k int, mk func() sim.Policy) (*Divergence, error) {
+	pa := mk()
+	resA, err := sim.Run(tr, pa, sim.ConfigAt(k).WithEngine(sim.EngineDense))
+	if err != nil {
+		return nil, fmt.Errorf("check: dense side failed: %w", err)
+	}
+	pb := mk()
+	resB, err := sim.Run(tr, pb, sim.ConfigAt(k).WithEngine(sim.EngineMap))
+	if err != nil {
+		return nil, fmt.Errorf("check: map side failed: %w", err)
+	}
+	if div := resultDivergence("dense", "map", resA, resB); div != nil {
+		return div, nil
+	}
+	fa, okA := pa.(*core.Fast)
+	fb, okB := pb.(*core.Fast)
+	if okA && okB {
+		sa, sb := fa.Snapshot(), fb.Snapshot()
+		if !reflect.DeepEqual(normalizeSnapshot(sa), normalizeSnapshot(sb)) {
+			return &Divergence{
+				Step: -1,
+				A:    fmt.Sprintf("dense final state: aging=%v misses=%v pages=%d", sa.Aging, sa.Misses, len(sa.Pages)),
+				B:    fmt.Sprintf("map final state: aging=%v misses=%v pages=%d", sb.Aging, sb.Misses, len(sb.Pages)),
+			}, nil
+		}
+	}
+	return nil, nil
 }
 
 // SnapshotRoundTrip checks core.Fast's checkpointing against itself: the
 // trace is split at every boundary in splits (fractions of the trace
 // length); the prefix is run, a snapshot is taken, restored into a fresh
-// instance, and the suffix is driven manually on both the original and the
-// restored instance. Both must evict identically, and Snapshot after
-// Restore must reproduce the checkpoint exactly.
+// instance, and the suffix is driven request by request on both the
+// original and the restored instance. Both must evict identically, and
+// Snapshot after Restore must reproduce the checkpoint exactly.
 func SnapshotRoundTrip(tr *trace.Trace, k int, opt core.Options, splits []float64) error {
 	for _, frac := range splits {
 		cut := int(frac * float64(tr.Len()))
@@ -170,11 +213,15 @@ func SnapshotRoundTrip(tr *trace.Trace, k int, opt core.Options, splits []float6
 }
 
 func snapshotRoundTripAt(tr *trace.Trace, k int, opt core.Options, cut int) error {
-	orig := newManualDriver(k, core.NewFast(opt))
-	for _, r := range tr.Requests()[:cut] {
-		orig.serve(r)
+	reqs := tr.Requests()
+	orig := core.NewFast(opt)
+	origCache := sim.NewMapCache(orig, k)
+	for step, r := range reqs[:cut] {
+		if _, _, _, err := origCache.Access(step, r); err != nil {
+			return err
+		}
 	}
-	snap := orig.alg.(*core.Fast).Snapshot()
+	snap := orig.Snapshot()
 
 	restored := core.NewFast(opt)
 	if err := restored.Restore(snap); err != nil {
@@ -185,15 +232,24 @@ func snapshotRoundTripAt(tr *trace.Trace, k int, opt core.Options, cut int) erro
 		return fmt.Errorf("check: snapshot round trip at step %d not identical:\n  before: %+v\n  after:  %+v", cut, snap, back)
 	}
 
-	// Resume both and require identical evictions on the suffix.
-	cont := newManualDriver(k, restored)
-	cont.cache = orig.cloneCache()
-	for step, r := range tr.Requests()[cut:] {
-		ea := orig.serve(r)
-		eb := cont.serve(r)
+	// Resume both and require identical evictions on the suffix; the
+	// snapshot names the resident pages the restored side's cache needs.
+	cont := sim.NewMapCache(restored, k)
+	for p, t := range snap.ResidentPages() {
+		cont.Seed(p, t)
+	}
+	for step := cut; step < len(reqs); step++ {
+		_, ea, _, err := origCache.Access(step, reqs[step])
+		if err != nil {
+			return err
+		}
+		_, eb, _, err := cont.Access(step, reqs[step])
+		if err != nil {
+			return err
+		}
 		if ea != eb {
 			return &Divergence{
-				Step: cut + step,
+				Step: step,
 				A:    fmt.Sprintf("uninterrupted evicts %d", ea),
 				B:    fmt.Sprintf("restored evicts %d", eb),
 			}
@@ -212,46 +268,6 @@ func normalizeSnapshot(s core.FastSnapshot) core.FastSnapshot {
 		s.Pages = nil
 	}
 	return s
-}
-
-// manualDriver drives a policy directly (the snapshot-resume path used by
-// the server), owning cache membership like the engine does.
-type manualDriver struct {
-	k     int
-	alg   sim.Policy
-	cache map[trace.PageID]bool
-	step  int
-}
-
-func newManualDriver(k int, alg sim.Policy) *manualDriver {
-	return &manualDriver{k: k, alg: alg, cache: make(map[trace.PageID]bool)}
-}
-
-func (m *manualDriver) cloneCache() map[trace.PageID]bool {
-	out := make(map[trace.PageID]bool, len(m.cache))
-	for p, v := range m.cache {
-		out[p] = v
-	}
-	return out
-}
-
-// serve plays one request and returns the evicted page (-1 when none).
-func (m *manualDriver) serve(r trace.Request) trace.PageID {
-	m.step++
-	if m.cache[r.Page] {
-		m.alg.OnHit(m.step, r)
-		return -1
-	}
-	evicted := trace.PageID(-1)
-	if len(m.cache) >= m.k {
-		v := m.alg.Victim(m.step, r)
-		delete(m.cache, v)
-		m.alg.OnEvict(m.step, v)
-		evicted = v
-	}
-	m.cache[r.Page] = true
-	m.alg.OnInsert(m.step, r)
-	return evicted
 }
 
 // ResetReuse checks that Reset fully restores a policy's initial state: a

@@ -65,98 +65,6 @@ func DiffLive(tr *trace.Trace, k int, mk func() sim.Policy, shardCounts []int) (
 	return nil, nil
 }
 
-// DiffDenseVsMap is the dense-shard-core oracle: two live services fed
-// identical request batches, one on the dense shard core (the default), one
-// pinned to the retained map-mode reference step (Config.MapStep). Every
-// per-request result byte, the final per-tenant counters, and both services'
-// Verify reports must agree bit for bit — the map step survives purely as
-// this reference, so any drift in the fast path is caught here first.
-func DiffDenseVsMap(tr *trace.Trace, k int, mk func() sim.Policy, shardCounts []int) (*Divergence, error) {
-	reqs := make([]cached.Request, tr.Len())
-	for i, r := range tr.Requests() {
-		op := cached.OpGet
-		if i%4 == 3 {
-			op = cached.OpPut
-		}
-		reqs[i] = cached.Request{Op: op, Tenant: r.Tenant, Key: fmt.Appendf(nil, "p%d", r.Page)}
-	}
-	tenants := tr.NumTenants()
-
-	for _, n := range shardCounts {
-		if n > k {
-			continue
-		}
-		dense, err := cached.New(cached.Config{K: k, Shards: n, Tenants: tenants, NewPolicy: mk})
-		if err != nil {
-			return nil, fmt.Errorf("check: dense service n=%d: %w", n, err)
-		}
-		mapped, err := cached.New(cached.Config{K: k, Shards: n, Tenants: tenants, NewPolicy: mk, MapStep: true})
-		if err != nil {
-			dense.Close()
-			return nil, fmt.Errorf("check: map service n=%d: %w", n, err)
-		}
-		div, err := diffDenseVsMapOne(dense, mapped, reqs, n, tenants)
-		dense.Close()
-		mapped.Close()
-		if err != nil || div != nil {
-			return div, err
-		}
-	}
-	return nil, nil
-}
-
-func diffDenseVsMapOne(dense, mapped *cached.Service, reqs []cached.Request, n, tenants int) (*Divergence, error) {
-	const batch = 512
-	for lo := 0; lo < len(reqs); lo += batch {
-		hi := lo + batch
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		rd, err := dense.Apply(reqs[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("check: dense apply n=%d at %d: %w", n, lo, err)
-		}
-		rm, err := mapped.Apply(reqs[lo:hi])
-		if err != nil {
-			return nil, fmt.Errorf("check: map apply n=%d at %d: %w", n, lo, err)
-		}
-		for i := range rd {
-			if rd[i] != rm[i] {
-				return &Divergence{
-					Step: lo + i,
-					A:    fmt.Sprintf("dense n=%d result %c", n, rd[i]),
-					B:    fmt.Sprintf("map result %c", rm[i]),
-				}, nil
-			}
-		}
-	}
-	sd, sm := dense.Stats(), mapped.Stats()
-	for t := 0; t < tenants; t++ {
-		d, m := sd.PerTenant[t], sm.PerTenant[t]
-		if d.Hits != m.Hits || d.Misses != m.Misses || d.Evictions != m.Evictions {
-			return &Divergence{
-				Step: -1,
-				A:    fmt.Sprintf("dense n=%d tenant %d: hits=%d misses=%d evictions=%d", n, t, d.Hits, d.Misses, d.Evictions),
-				B:    fmt.Sprintf("map tenant %d: hits=%d misses=%d evictions=%d", t, m.Hits, m.Misses, m.Evictions),
-			}, nil
-		}
-	}
-	for name, svc := range map[string]*cached.Service{"dense": dense, "map": mapped} {
-		rep, err := svc.Verify(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("check: %s verify n=%d: %w", name, n, err)
-		}
-		if !rep.Clean {
-			return &Divergence{
-				Step: -1,
-				A:    fmt.Sprintf("%s n=%d live counters", name, n),
-				B:    "replay: " + strings.Join(rep.Diffs, "; "),
-			}, nil
-		}
-	}
-	return nil, nil
-}
-
 func diffLiveOne(svc *cached.Service, reqs []cached.Request, n int, seq sim.Result, tenants int) (*Divergence, error) {
 	const batch = 512
 	for lo := 0; lo < len(reqs); lo += batch {

@@ -36,8 +36,9 @@ func TestDiffLiveCleanOnWorkloads(t *testing.T) {
 
 // TestDiffLiveVariants exercises the live oracle under every cost regime the
 // engine oracles use (discrete derivative, miss-counting, linear), since the
-// live shard drives the map-mode policy path while the sharded replay drives
-// the dense path — precisely the pairing the engines/ family certifies.
+// live shard drives the dense core's per-request path while the replay
+// drives its batched path — the pairing the engines/ family certifies
+// through the map engine.
 func TestDiffLiveVariants(t *testing.T) {
 	tr := smallRandomTrace(3, 3, 12, 4000)
 	variants := map[string]core.Options{

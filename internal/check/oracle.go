@@ -132,8 +132,9 @@ func divergeErr(d *Divergence, err error) error {
 func Oracles() []Oracle {
 	var out []Oracle
 
-	// Dense engine vs map engine for the paper's algorithm under each cost
-	// regime. The two loops must be observably identical step by step.
+	// The batched dense engine vs the map engine, which drives Fast's
+	// per-request methods, for the paper's algorithm under each cost
+	// regime: identical counters and identical final state.
 	engineVariants := []struct {
 		name string
 		opt  func(n int) core.Options
@@ -155,12 +156,7 @@ func Oracles() []Oracle {
 			opt := v.opt(tr.NumTenants())
 			return divergeErr(DiffEngines(tr, k, func() sim.Policy { return core.NewFast(opt) }))
 		}})
-		// The batched loop against the per-step dense loop, and sharded
-		// replay against sequential replay, under the same cost regimes.
-		out = append(out, Oracle{Name: "batched/" + v.name[len("engines/"):], Run: func(tr *trace.Trace, k int) error {
-			opt := v.opt(tr.NumTenants())
-			return divergeErr(DiffBatched(tr, k, func() sim.Policy { return core.NewFast(opt) }))
-		}})
+		// Sharded replay against sequential replay, same cost regimes.
 		out = append(out, Oracle{Name: "sharded/" + v.name[len("engines/"):], Run: func(tr *trace.Trace, k int) error {
 			opt := v.opt(tr.NumTenants())
 			return divergeErr(DiffSharded(tr, k, func() sim.Policy { return core.NewFast(opt) }, []int{1, 2, 3, 4, 8}))
@@ -172,16 +168,6 @@ func Oracles() []Oracle {
 			return divergeErr(DiffLive(tr, k, func() sim.Policy { return core.NewFast(opt) }, []int{1, 2, 4}))
 		}})
 	}
-
-	// The dense shard core against the retained map-mode reference step:
-	// two live services over identical request streams must return identical
-	// per-request results and counters at every shard count. One cost regime
-	// suffices — both sides run the same Options, and the engine families
-	// above already sweep the cost space.
-	out = append(out, Oracle{Name: "live/dense-vs-map", Run: func(tr *trace.Trace, k int) error {
-		opt := core.Options{Costs: oracleCosts(tr.NumTenants())}
-		return divergeErr(DiffDenseVsMap(tr, k, func() sim.Policy { return core.NewFast(opt) }, []int{1, 2, 4}))
-	}})
 
 	// The incremental victim-argmin cursor against the full scan: the cursor
 	// only ever caches a unique strict minimum, so victim selection — and

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"reflect"
 
-	"convexcache/internal/core"
 	"convexcache/internal/sim"
 	"convexcache/internal/trace"
 )
 
-// This file holds the PR-6 differential oracles: the batched dense loop
-// against the per-step reference, and sharded replay against sequential
-// replay. Both compare the full per-tenant accounting (hits, misses,
-// evictions, effective steps), which is the observable contract — sharded
-// replay additionally promises that worker parallelism never changes the
-// merged numbers.
+// This file holds the sharded-replay oracle: sharded replay against
+// sequential replay, compared on the full per-tenant accounting (hits,
+// misses, evictions, effective steps), which is the observable contract —
+// sharded replay additionally promises that worker parallelism never changes
+// the merged numbers.
 
 // resultDivergence compares two Results and reports an aggregate-level
 // Divergence (Step == -1) when any accounted quantity differs.
@@ -31,60 +29,6 @@ func resultDivergence(labelA, labelB string, a, b sim.Result) *Divergence {
 		A:    fmt.Sprintf("%s: hits=%d misses=%v evictions=%v eff=%d", labelA, a.Hits, a.Misses, a.Evictions, a.EffectiveSteps),
 		B:    fmt.Sprintf("%s: hits=%d misses=%v evictions=%v eff=%d", labelB, b.Hits, b.Misses, b.Evictions, b.EffectiveSteps),
 	}
-}
-
-// DiffBatched replays the trace through one batch-capable policy twice —
-// once on the batched dense loop, once forced onto the per-step dense loop
-// — and reports any divergence in the per-tenant accounting. When the
-// policy is core.Fast the final snapshots (aging, per-tenant counters,
-// per-tenant recency order) are compared too, which catches internal-state
-// drift that happens not to change the counters on this trace. On
-// divergence the trace is ddmin-minimized like the other oracles.
-func DiffBatched(tr *trace.Trace, k int, mk func() sim.Policy) (*Divergence, error) {
-	div, err := diffBatchedOnce(tr, k, mk)
-	if err != nil || div == nil {
-		return div, err
-	}
-	div.Repro = MinimizeTrace(tr, func(t *trace.Trace) bool {
-		d, err := diffBatchedOnce(t, k, mk)
-		return err == nil && d != nil
-	})
-	if div.Repro != nil {
-		if d2, err := diffBatchedOnce(div.Repro, k, mk); err == nil && d2 != nil {
-			d2.Repro = div.Repro
-			return d2, nil
-		}
-	}
-	return div, nil
-}
-
-func diffBatchedOnce(tr *trace.Trace, k int, mk func() sim.Policy) (*Divergence, error) {
-	pa := mk()
-	resA, err := sim.Run(tr, pa, sim.Config{K: k, Engine: sim.EngineDense})
-	if err != nil {
-		return nil, fmt.Errorf("check: batched side failed: %w", err)
-	}
-	pb := mk()
-	resB, err := sim.Run(tr, pb, sim.Config{K: k, Engine: sim.EngineDense, NoBatch: true})
-	if err != nil {
-		return nil, fmt.Errorf("check: per-step side failed: %w", err)
-	}
-	if div := resultDivergence("batched", "per-step", resA, resB); div != nil {
-		return div, nil
-	}
-	fa, okA := pa.(*core.Fast)
-	fb, okB := pb.(*core.Fast)
-	if okA && okB {
-		sa, sb := fa.Snapshot(), fb.Snapshot()
-		if !reflect.DeepEqual(normalizeSnapshot(sa), normalizeSnapshot(sb)) {
-			return &Divergence{
-				Step: -1,
-				A:    fmt.Sprintf("batched final state: aging=%v misses=%v pages=%d", sa.Aging, sa.Misses, len(sa.Pages)),
-				B:    fmt.Sprintf("per-step final state: aging=%v misses=%v pages=%d", sb.Aging, sb.Misses, len(sb.Pages)),
-			}, nil
-		}
-	}
-	return nil, nil
 }
 
 // DiffSharded checks the two promises of sharded replay on one trace:

@@ -18,6 +18,8 @@ type denseRunLog struct {
 	evictions []int64
 }
 
+// runWithLog records a run's victims through an observer, so the run takes
+// the map engine: for Fast, the per-request methods.
 func runWithLog(t *testing.T, tr *trace.Trace, p sim.Policy, k int) denseRunLog {
 	t.Helper()
 	var lg denseRunLog
@@ -104,11 +106,12 @@ func denseCostSets(t *testing.T) map[string]func(rng *rand.Rand) costfn.Func {
 }
 
 // TestDenseFastMatchesDiscreteLargeTraces is the tentpole equivalence
-// property: the dense Fast implementation (slice-backed state, intrusive
-// LRU, cached marginals, driven by the dense engine) must be bit-exact
-// against the reference ALG-DISCRETE on large random multi-tenant traces in
-// every supported option mode and across all cost families, including the
-// piecewise-linear SLA refund.
+// property: Fast's dense core (slice-backed state, intrusive LRU, cached
+// marginals) must be bit-exact against the reference ALG-DISCRETE on large
+// random multi-tenant traces in every supported option mode and across all
+// cost families, including the piecewise-linear SLA refund — victim by
+// victim through the per-request methods, and on the counters through the
+// batched dense engine.
 func TestDenseFastMatchesDiscreteLargeTraces(t *testing.T) {
 	costSets := denseCostSets(t)
 	for name, mkCost := range costSets {
@@ -133,7 +136,10 @@ func TestDenseFastMatchesDiscreteLargeTraces(t *testing.T) {
 					opt := Options{Costs: costs, CountMisses: countMisses, UseDiscreteDeriv: discreteDeriv}
 					d := runWithLog(t, tr, NewDiscrete(opt), k)
 					f := runWithLog(t, tr, NewFast(opt), k)
-					if !equalLogs(t, name, d, f) {
+					// The batched run emits no victim log; its counters must match.
+					res := sim.MustRun(tr, NewFast(opt), sim.Config{K: k, Engine: sim.EngineDense})
+					batched := denseRunLog{victims: d.victims, misses: res.Misses, evictions: res.Evictions}
+					if !equalLogs(t, name, d, f) || !equalLogs(t, name+"/batched", d, batched) {
 						t.Fatalf("costs=%s countMisses=%v discreteDeriv=%v seed=%d k=%d", name, countMisses, discreteDeriv, seed, k)
 					}
 				}
@@ -149,14 +155,14 @@ func TestDenseFastUsesDensePath(t *testing.T) {
 	f := NewFast(Options{})
 	tr := randomTrace(3, 2, 6, 200)
 	sim.MustRun(tr, f, sim.Config{K: 4})
-	if f.dn == nil {
+	if f.d == nil {
 		t.Fatal("dense state not initialized: sim.Run fell back to the map engine")
 	}
-	if f.dn.d != tr.Dense() {
+	if f.d != tr.Dense() {
 		t.Fatal("dense state bound to a different trace view")
 	}
-	if len(f.info) != 0 {
-		t.Fatal("map backend was populated during a dense run")
+	if len(f.ids) != 0 || len(f.pages) != 0 {
+		t.Fatal("direct-drive page map was populated during a dense run")
 	}
 }
 

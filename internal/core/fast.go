@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 
 	"convexcache/internal/costfn"
@@ -26,40 +25,30 @@ import (
 // the least-recently-requested one, so a per-tenant recency list suffices
 // and an eviction costs O(#tenants).
 //
-// Fast has two interchangeable state backends. When driven through sim.Run
-// on an indexable trace it implements sim.BatchPolicy: the engine hands it
-// runs of sim.BatchSize requests and the whole hit/miss/evict/insert loop
-// runs here with concrete types over the shared slot table. Per-page and
-// per-tenant state is laid out hot/cold (see denseCore) so the hit path
-// touches two cache lines and the victim scan one line per tenant; the
-// request loop is allocation-free. Direct drivers (the lower-bound
-// adversary, the buffer pool, the hierarchy and multipool substrates) use
-// the original map-backed sim.Policy methods; the two backends never mix
-// within a run.
+// Fast runs one state machine, denseCore, through its two request paths.
+// Driven by sim.Run on an indexable trace it implements sim.DensePolicy: the
+// engine hands it runs of sim.BatchSize requests and the core's batched step
+// serves them over the trace's dense page indices, allocation-free, with
+// per-page and per-tenant state laid out hot/cold (see denseCore). Driven
+// through its sim.Policy methods — by the map engine (observed runs) or
+// directly by the lower-bound adversary, the hierarchy and multipool
+// substrates and the resilience jobs — the core's per-request methods serve
+// each call behind a PageID→record map that assigns an index on first
+// sight; per-tenant state grows on first sight too. A dense replay and a
+// direct drive never share state: PrepareDense starts a fresh replay, and
+// the first sim.Policy call after one starts a fresh drive.
 //
-// The dense state machine itself lives in denseCore, which is shared with
-// the open-world Open front end (the live cache service's shard engine):
-// one step function, three drivers — closed-world replay here, live serving
-// there, and the batched loop over both.
+// The open-world Open front end (the live cache service's shard engine)
+// composes the same per-request methods.
 type Fast struct {
 	opt Options
-
-	aging float64
-	m     map[trace.Tenant]float64
-	// lists[i] holds tenant i's cached pages, front = most recent.
-	lists map[trace.Tenant]*list.List
-	elem  map[trace.PageID]*list.Element
-	info  map[trace.PageID]*fastPage
-
-	nextSeq int
-
-	dn *fastDense
-}
-
-type fastPage struct {
-	owner    trace.Tenant
-	ageStart float64
-	seq      int
+	// d is the trace view of the current dense replay; nil in a direct drive.
+	d *trace.Dense
+	// ids and pages map page ids to record indices and back in a direct
+	// drive.
+	ids   map[trace.PageID]int32
+	pages []trace.PageID
+	denseCore
 }
 
 // tenantHot packs the per-tenant state the hit path and the victim scan
@@ -82,9 +71,8 @@ type fastPage struct {
 // of precomputed values with no dependence on the aging counter — which
 // matters because the aging update is a serial FP chain across evictions,
 // and with the key the scan no longer waits on it. The key is recomputed
-// (one add) wherever marg or tailAge changes. All victim paths (batched,
-// per-step, open-world, map) compare the same fl(marg + tailAge) so the
-// backends stay bit-identical; when A grows so large that ulp-level rounding
+// (one add) wherever marg or tailAge changes. Both request paths compare the
+// same fl(marg + tailAge); when A grows so large that ulp-level rounding
 // makes keys collide, the sequence tie-break (global LRU order) decides,
 // identically everywhere.
 type tenantHot struct {
@@ -97,36 +85,39 @@ type tenantHot struct {
 }
 
 // pageRec packs all per-page state — the aging origin, the tie-break
-// sequence, the intrusive LRU links, the owner, and the residency flag of
-// the batched path — into exactly 32 bytes, two per cache line. The batched
-// request loop therefore resolves a probe (resident?), the owner lookup and
-// the insert bookkeeping for a page with a single random cache line, where
-// the first cut of the dense path touched three arrays (page->slot, owners,
+// sequence, the intrusive LRU links, the owner, and the residency flag —
+// into exactly 32 bytes, two per cache line. The batched request loop
+// therefore resolves a probe (resident?), the owner lookup and the insert
+// bookkeeping for a page with a single random cache line, where the first
+// cut of the dense path touched three arrays (page->slot, owners,
 // ages+links) per request.
 type pageRec struct {
 	ageStart float64
 	seq      int64
 	// prev/next are the intrusive per-tenant LRU links, -1 = nil.
 	prev, next int32
-	// owner is the page's tenant: mirrored from trace.Dense.Owners in the
-	// closed-world backend, assigned at first touch in the open-world one
-	// (-1 until then).
+	// owner is the page's tenant: mirrored from trace.Dense.Owners in a
+	// replay, assigned at insert in a direct drive and at first touch in
+	// Open (-1 until then).
 	owner int32
-	// resident is 1 while the page is cached; maintained by the batched and
-	// open-world loops, which own residency (the per-step loop keeps it in
-	// the engine's sim.SlotTable, but mirrors it here too).
+	// resident is 1 while the page is cached.
 	resident int32
 }
 
-// denseCore is the struct-of-arrays state machine of the dense path, split
-// hot/cold: th holds everything the victim scan reads (one line per two
-// tenants), pr holds the per-page records the hit and insert paths write,
-// and the per-tenant miss counters m stay cold — they are read only when a
-// marginal is recomputed. All page-indexed state uses a dense page index:
-// the trace.Dense index in the closed-world backend (fastDense), the
-// residue-class slot (page - base)/stride in the open-world one (Open).
-// Nothing in the core references a trace, which is exactly what lets the
-// live service drive it with pages it has never seen before.
+// denseCore is the struct-of-arrays state machine of ALG, split hot/cold:
+// th holds everything the victim scan reads (one line per two tenants), pr
+// holds the per-page records the hit and insert paths write, and the
+// per-tenant miss counters m stay cold — they are read only when a marginal
+// is recomputed. All page-indexed state uses a record index: the trace.Dense
+// index in a replay, the first-sight index in a direct drive of Fast, the
+// residue-class slot (page - base)/stride in Open. Nothing in the core
+// references a trace, which is what lets the live service drive it with
+// pages it has never seen before.
+//
+// The core has exactly two request paths: the per-request methods hit,
+// victim, evict and insert, and the batched stepBatch. Both run the same
+// arithmetic in the same order, so any sequence of requests leaves the same
+// state whichever path served it.
 type denseCore struct {
 	aging float64
 
@@ -147,9 +138,8 @@ type denseCore struct {
 	// Per-page state.
 	pr []pageRec
 
-	// Residency bookkeeping of the batched and open-world paths: occupied
-	// page count and capacity (the per-step path reads neither; the engine's
-	// slot table tracks them there).
+	// Residency bookkeeping: occupied page count and capacity (zero in a
+	// direct drive of Fast, where the driver owns capacity).
 	used, k int
 
 	nextSeq int64
@@ -181,14 +171,6 @@ type denseCore struct {
 	prefetchSink int32
 }
 
-// fastDense is the closed-world dense backend: the shared core plus the
-// trace view that maps dense indices back to page ids (needed only by
-// snapshots and test accessors — the step paths run entirely on the core).
-type fastDense struct {
-	d *trace.Dense
-	denseCore
-}
-
 // margAt recomputes tenant i's marginal from its current miss counter. The
 // arithmetic is identical to Options.marginal, but the cost function is
 // pre-resolved and the mode branch pre-hoisted, so an eviction pays one
@@ -203,40 +185,76 @@ func (s *denseCore) margAt(i trace.Tenant) float64 {
 	return s.fs[i].Deriv(s.m[i] + 1)
 }
 
-// initTenants (re)initializes the per-tenant state from the options. The
-// th/m/fs/cb slices must already have at least nTenants entries.
-func (s *denseCore) initTenants(opt Options, nTenants, k int) {
+// initTenants (re)initializes the core for capacity k and the tenants its
+// th/m/fs/cb slices already hold.
+func (s *denseCore) initTenants(opt Options, k int) {
 	s.aging = 0
 	s.nextSeq = 0
 	s.used = 0
 	s.k = k
 	s.discrete = opt.UseDiscreteDeriv
 	s.countMisses = opt.CountMisses
-	s.noCursor = opt.NoVictimCursor ||
-		(!opt.ForceVictimCursor && nTenants < victimCursorMinTenants)
 	s.vTen = -1
-	for i := 0; i < nTenants; i++ {
-		s.m[i] = 0
-		s.fs[i] = opt.cost(trace.Tenant(i))
-		// A linear tenant's derivative never moves, so its marginal is
-		// computed once here and the per-eviction recompute skipped. (The
-		// discrete finite difference of a linear cost is not bit-stable for
-		// large counters, so the shortcut applies to true derivatives only.)
-		_, lin := s.fs[i].(costfn.Linear)
-		s.cb[i] = 0
-		if mono, ok := s.fs[i].(costfn.Monomial); ok && !s.discrete && mono.Beta == 2 {
-			s.cb[i] = mono.C * mono.Beta
-		}
-		marg := opt.marginal(trace.Tenant(i), 0)
-		s.th[i] = tenantHot{
-			marg:      marg,
-			key:       marg, // tailAge is zero until the first insert
-			head:      -1,
-			tail:      -1,
-			tailPrev:  -1,
-			constMarg: lin && !s.discrete,
-		}
+	for i := range s.th {
+		s.initTenant(opt, trace.Tenant(i))
 	}
+	s.setCursorRule(opt)
+}
+
+// initTenant resets tenant i's state to an empty list at zero misses.
+func (s *denseCore) initTenant(opt Options, i trace.Tenant) {
+	s.m[i] = 0
+	s.fs[i] = opt.cost(i)
+	// A linear tenant's derivative never moves, so its marginal is computed
+	// once here and the per-eviction recompute skipped. (The discrete finite
+	// difference of a linear cost is not bit-stable for large counters, so
+	// the shortcut applies to true derivatives only.)
+	_, lin := s.fs[i].(costfn.Linear)
+	s.cb[i] = 0
+	if mono, ok := s.fs[i].(costfn.Monomial); ok && !s.discrete && mono.Beta == 2 {
+		s.cb[i] = mono.C * mono.Beta
+	}
+	marg := opt.marginal(i, 0)
+	s.th[i] = tenantHot{
+		marg:      marg,
+		key:       marg, // tailAge is zero until the first insert
+		head:      -1,
+		tail:      -1,
+		tailPrev:  -1,
+		constMarg: lin && !s.discrete,
+	}
+}
+
+// setCursorRule applies the victim cursor's arming rule for the current
+// tenant count; see victimCursorMinTenants.
+func (s *denseCore) setCursorRule(opt Options) {
+	s.noCursor = opt.NoVictimCursor ||
+		(!opt.ForceVictimCursor && len(s.th) < victimCursorMinTenants)
+}
+
+// sizeTenants resizes the per-tenant slices to n entries, reusing their
+// backing arrays when large enough; initTenants fills them.
+func (s *denseCore) sizeTenants(n int) {
+	s.th = sized(s.th, n)
+	s.m = sized(s.m, n)
+	s.fs = sized(s.fs, n)
+	s.cb = sized(s.cb, n)
+}
+
+// sized returns a length-n slice, reusing xs's backing array when it can.
+func sized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
+}
+
+// Misses returns the internal per-tenant counter m(i, t).
+func (s *denseCore) Misses(i trace.Tenant) float64 {
+	if int(i) < 0 || int(i) >= len(s.m) {
+		return 0
+	}
+	return s.m[i]
 }
 
 // NewFast returns a fresh Fast instance.
@@ -249,39 +267,156 @@ func NewFast(opt Options) *Fast {
 // Name implements sim.Policy.
 func (f *Fast) Name() string { return "alg-fast" }
 
-// Reset implements sim.Policy.
+// Reset implements sim.Policy: an empty direct drive.
 func (f *Fast) Reset() {
-	f.aging = 0
-	f.m = make(map[trace.Tenant]float64)
-	f.lists = make(map[trace.Tenant]*list.List)
-	f.elem = make(map[trace.PageID]*list.Element)
-	f.info = make(map[trace.PageID]*fastPage)
-	f.nextSeq = 0
-	f.dn = nil
+	f.d = nil
+	if f.ids == nil {
+		f.ids = make(map[trace.PageID]int32)
+	} else {
+		clear(f.ids)
+	}
+	f.pages = f.pages[:0]
+	f.pr = f.pr[:0]
+	f.sizeTenants(0)
+	f.initTenants(f.opt, 0)
 }
 
-// PrepareDense implements sim.DensePolicy. It (re)initializes the dense
-// backend for trace view d, reusing the previous run's slices when the
-// shapes match so repeated runs over the same trace allocate nothing new.
+// PrepareDense implements sim.DensePolicy. It (re)initializes the core for
+// trace view d, reusing the previous run's slices when they are large enough
+// so repeated runs over the same trace allocate nothing new.
 func (f *Fast) PrepareDense(d *trace.Dense, k int) bool {
-	nPages := d.NumPages()
-	nTenants := d.Tenants
-	s := f.dn
-	if s == nil || len(s.pr) < nPages || len(s.th) < nTenants {
-		s = &fastDense{}
-		s.th = make([]tenantHot, nTenants)
-		s.m = make([]float64, nTenants)
-		s.fs = make([]costfn.Func, nTenants)
-		s.cb = make([]float64, nTenants)
-		s.pr = make([]pageRec, nPages)
-		f.dn = s
-	}
-	s.d = d
-	s.initTenants(f.opt, nTenants, k)
-	for p := 0; p < nPages; p++ {
-		s.pr[p] = pageRec{prev: -1, next: -1, owner: int32(d.Owners[p])}
+	f.d = d
+	f.sizeTenants(d.Tenants)
+	f.initTenants(f.opt, k)
+	f.pr = sized(f.pr, d.NumPages())
+	for p := range f.pr {
+		f.pr[p] = pageRec{prev: -1, next: -1, owner: int32(d.Owners[p])}
 	}
 	return true
+}
+
+// StepBatch implements sim.DensePolicy: the core's batched step.
+func (f *Fast) StepBatch(base int, pages []int32, bc *sim.BatchCounters, warm bool) error {
+	return f.stepBatch(base, pages, bc, warm)
+}
+
+// direct readies the instance for a sim.Policy call: the first one after a
+// dense replay starts a fresh direct drive.
+func (f *Fast) direct() {
+	if f.d != nil {
+		f.Reset()
+	}
+}
+
+// ensureTenant grows the per-tenant state to cover tenant i, which a direct
+// drive meets on first sight, and re-applies the cursor's arming rule.
+func (f *Fast) ensureTenant(i trace.Tenant) error {
+	if i < 0 {
+		return fmt.Errorf("core: negative tenant %d", i)
+	}
+	n := len(f.th)
+	if int(i) < n {
+		return nil
+	}
+	f.th = append(f.th, make([]tenantHot, int(i)+1-n)...)
+	f.m = append(f.m, make([]float64, int(i)+1-n)...)
+	f.fs = append(f.fs, make([]costfn.Func, int(i)+1-n)...)
+	f.cb = append(f.cb, make([]float64, int(i)+1-n)...)
+	for j := n; j <= int(i); j++ {
+		f.initTenant(f.opt, trace.Tenant(j))
+	}
+	f.setCursorRule(f.opt)
+	return nil
+}
+
+// index returns page p's record index in a direct drive, assigning the next
+// one on first sight.
+func (f *Fast) index(p trace.PageID) int32 {
+	if ix, ok := f.ids[p]; ok {
+		return ix
+	}
+	ix := int32(len(f.pages))
+	f.ids[p] = ix
+	f.pages = append(f.pages, p)
+	f.pr = append(f.pr, pageRec{prev: -1, next: -1, owner: -1})
+	return ix
+}
+
+// resident returns page p's record index when p is cached.
+func (f *Fast) resident(p trace.PageID) (int32, bool) {
+	ix := int32(-1)
+	if f.d != nil {
+		ix = f.d.IndexOf(p)
+	} else if j, ok := f.ids[p]; ok {
+		ix = j
+	}
+	if ix < 0 || f.pr[ix].resident == 0 {
+		return -1, false
+	}
+	return ix, true
+}
+
+// pageOf maps a record index back to its page id.
+func (f *Fast) pageOf(ix int32) trace.PageID {
+	if f.d != nil {
+		return f.d.Pages[ix]
+	}
+	return f.pages[ix]
+}
+
+// OnHit implements sim.Policy: refresh the page's recency and aging origin.
+// A hit on an absent page changes nothing but the sequence counter.
+func (f *Fast) OnHit(step int, r trace.Request) {
+	f.direct()
+	ix, ok := f.resident(r.Page)
+	if !ok {
+		f.nextSeq++
+		return
+	}
+	f.hit(ix)
+}
+
+// OnInsert implements sim.Policy: register the absent page with the current
+// marginal as its budget.
+func (f *Fast) OnInsert(step int, r trace.Request) {
+	f.direct()
+	if err := f.ensureTenant(r.Tenant); err != nil {
+		panic(err)
+	}
+	ix := f.index(r.Page)
+	f.pr[ix].owner = int32(r.Tenant)
+	f.insert(ix)
+}
+
+// Victim implements sim.Policy: the minimum-budget page, ties broken by the
+// earliest last request.
+func (f *Fast) Victim(step int, r trace.Request) trace.PageID {
+	f.direct()
+	_, ix := f.victim()
+	if ix < 0 {
+		panic("core: Fast.Victim called with empty cache")
+	}
+	return f.pages[ix]
+}
+
+// OnEvict implements sim.Policy: age every resident page by the victim's
+// budget and advance the owner's counter (eviction-count mode). Any resident
+// page may be evicted, not only the one Victim nominated; evicting an absent
+// page is a no-op.
+func (f *Fast) OnEvict(step int, p trace.PageID) {
+	f.direct()
+	if ix, ok := f.resident(p); ok {
+		f.evict(trace.Tenant(f.pr[ix].owner), ix)
+	}
+}
+
+// Budget exposes a cached page's current effective budget for tests.
+func (f *Fast) Budget(p trace.PageID) (float64, bool) {
+	ix, ok := f.resident(p)
+	if !ok {
+		return 0, false
+	}
+	return f.th[f.pr[ix].owner].marg - (f.aging - f.pr[ix].ageStart), true
 }
 
 // victimCursorMinTenants is the auto-arm floor: below this many tenants the
@@ -440,60 +575,95 @@ func (s *denseCore) popTail(i trace.Tenant, p int32) {
 	}
 }
 
-// DenseHit implements sim.DensePolicy: refresh recency and the aging origin.
-func (f *Fast) DenseHit(step int, page int32) {
-	s := &f.dn.denseCore
+// hit serves a request for resident page pg: refresh its recency and aging
+// origin.
+func (s *denseCore) hit(pg int32) {
 	s.nextSeq++
-	i := trace.Tenant(s.pr[page].owner)
-	s.pr[page].ageStart = s.aging
-	s.pr[page].seq = s.nextSeq
-	if s.th[i].head != page {
-		wasTail := s.th[i].tail == page
-		s.unlink(i, page)
-		s.pushFront(i, page)
+	r := &s.pr[pg]
+	i := trace.Tenant(r.owner)
+	r.ageStart = s.aging
+	r.seq = s.nextSeq
+	t := &s.th[i]
+	if t.head != pg {
+		wasTail := t.tail == pg
+		s.unlink(i, pg)
+		s.pushFront(i, pg)
 		// The re-push lands in a list that stayed nonempty, so only the
 		// unlink can have moved the tail (and with it the victim key).
 		if wasTail && s.vTen >= 0 {
 			s.noteKey(i)
 		}
-	} else if s.th[i].tail == page {
+	} else if t.tail == pg {
 		// Single-page list: the tail's aging origin just moved.
-		s.th[i].tailAge = s.aging
-		s.th[i].key = s.th[i].marg + s.aging
+		t.tailAge = s.aging
+		t.key = t.marg + s.aging
 		if s.vTen >= 0 {
 			s.noteKey(i)
 		}
 	}
 }
 
-// DenseInsert implements sim.DensePolicy: register the page with the current
-// marginal as its budget.
-func (f *Fast) DenseInsert(step int, page int32) {
-	s := &f.dn.denseCore
+// insert registers absent page pg, whose owner is already recorded, with the
+// current marginal as its budget.
+func (s *denseCore) insert(pg int32) {
 	s.nextSeq++
-	i := trace.Tenant(s.pr[page].owner)
+	r := &s.pr[pg]
+	i := trace.Tenant(r.owner)
+	t := &s.th[i]
 	if s.countMisses {
 		s.m[i]++
-		if !s.th[i].constMarg {
-			s.th[i].marg = s.margAt(i)
+		if !t.constMarg {
+			t.marg = s.margAt(i)
 			// The key tracks the marginal; pushFront refreshes it again if
 			// this insert lands in an empty list and moves the tail.
-			s.th[i].key = s.th[i].marg + s.th[i].tailAge
-			if s.th[i].tail >= 0 {
-				if s.vTen >= 0 {
-					s.noteKey(i)
-				}
+			t.key = t.marg + t.tailAge
+			if t.tail >= 0 && s.vTen >= 0 {
+				s.noteKey(i)
 			}
 		}
 	}
-	s.pr[page].ageStart = s.aging
-	s.pr[page].seq = s.nextSeq
-	s.pr[page].resident = 1
-	wasEmpty := s.th[i].head < 0
-	s.pushFront(i, page)
+	r.ageStart = s.aging
+	r.seq = s.nextSeq
+	r.resident = 1
+	wasEmpty := t.head < 0
+	s.pushFront(i, pg)
 	if wasEmpty && s.vTen >= 0 {
 		s.noteKey(i)
 	}
+	s.used++
+}
+
+// evict removes resident page pg, owned by tenant i: age every resident page
+// by the victim's budget (a single add to the global aging counter) and
+// advance the owner's miss counter in eviction-count mode. pg is usually the
+// tail victim nominated, whose aging origin the tenant record mirrors, so
+// the victim's cold record is only written; direct drivers may evict any
+// resident page.
+func (s *denseCore) evict(i trace.Tenant, pg int32) {
+	t := &s.th[i]
+	tail := pg == t.tail
+	age := t.tailAge
+	if !tail {
+		age = s.pr[pg].ageStart
+	}
+	s.aging += t.marg - (s.aging - age)
+	if !s.countMisses {
+		s.m[i]++
+		if !t.constMarg {
+			t.marg = s.margAt(i)
+			t.key = t.marg + t.tailAge
+		}
+	}
+	if tail {
+		s.popTail(i, pg)
+	} else {
+		s.unlink(i, pg)
+	}
+	if s.vTen >= 0 {
+		s.noteKey(i)
+	}
+	s.pr[pg].resident = 0
+	s.used--
 }
 
 // victim nominates the eviction victim: the cursor's cached strict argmin
@@ -609,56 +779,15 @@ func (s *denseCore) victimScan() (trace.Tenant, int32) {
 	return bestT, best
 }
 
-// denseVictim adapts victim for the per-step path.
-func (f *Fast) denseVictim() int32 {
-	_, p := f.dn.victim()
-	return p
-}
-
-// DenseVictim implements sim.DensePolicy.
-func (f *Fast) DenseVictim(step int, page int32) int32 {
-	v := f.denseVictim()
-	if v < 0 {
-		panic("core: Fast.DenseVictim called with empty cache")
-	}
-	return v
-}
-
-// DenseEvict implements sim.DensePolicy: age every resident page by the
-// victim's budget (a single add to the global aging counter) and advance the
-// owner's miss counter in eviction-count mode.
-func (f *Fast) DenseEvict(step int, page int32) {
-	s := &f.dn.denseCore
-	i := trace.Tenant(s.pr[page].owner)
-	s.aging += s.th[i].marg - (s.aging - s.pr[page].ageStart)
-	if !s.countMisses {
-		s.m[i]++
-		if !s.th[i].constMarg {
-			s.th[i].marg = s.margAt(i)
-		}
-	}
-	// The victim is its owner's tail, so the unlink always moves the tail
-	// and the victim key with it.
-	s.unlink(i, page)
-	if s.vTen >= 0 {
-		s.noteKey(i)
-	}
-	s.pr[page].resident = 0
-}
-
-// StepBatch implements sim.BatchPolicy: the whole hit/miss/evict/insert loop
-// for a run of requests, with the per-step Dense* bodies inlined so the
+// stepBatch is the batched request path: the whole hit/miss/evict/insert
+// loop for a run of requests, with the per-request bodies inlined so the
 // engine pays one interface dispatch per sim.BatchSize requests instead of
 // one per event. Residency lives in the pageRec resident flag, so the probe,
 // the owner lookup and the insert bookkeeping share one cache line per
-// request. The arithmetic and its order are identical to the per-step path,
-// so the two loops stay bit-exact (enforced by the internal/check batched
-// oracle).
-func (f *Fast) StepBatch(base int, pages []int32, bc *sim.BatchCounters, warm bool) error {
-	return f.dn.denseCore.stepBatch(base, pages, bc, warm)
-}
-
-// stepBatch is the batched request loop on the shared core; see StepBatch.
+// request. The arithmetic and its order are identical to the per-request
+// methods, so the two paths stay bit-exact (enforced by the internal/check
+// engines oracle, which runs the per-request methods through the map
+// engine).
 func (s *denseCore) stepBatch(base int, pages []int32, bc *sim.BatchCounters, warm bool) error {
 	prs := s.pr
 	ths := s.th
@@ -678,8 +807,8 @@ func (s *denseCore) stepBatch(base int, pages []int32, bc *sim.BatchCounters, wa
 	// any request. The loads are independent, so the memory system overlaps
 	// them, where the serving loop — whose branches depend on each probe —
 	// would take the misses one at a time. This is the batched contract's
-	// structural advantage: a per-step engine cannot see the next 63 pages.
-	// The sink store keeps the compiler from discarding the pass.
+	// structural advantage: a per-request caller cannot see the next 63
+	// pages. The sink store keeps the compiler from discarding the pass.
 	var sink int32
 	for _, pg := range pages {
 		sink += prs[pg].owner
@@ -719,11 +848,10 @@ func (s *denseCore) stepBatch(base int, pages []int32, bc *sim.BatchCounters, wa
 		if used >= s.k {
 			// Victim: the cursor's cached argmin when valid, the full scan
 			// (which re-arms the cursor) otherwise; comparison and selection
-			// order are identical to the per-step path, which the
-			// batched-vs-per-step oracle enforces. Comparing precomputed
-			// keys keeps the scan off the aging chain: the FP adds of
-			// consecutive evictions pipeline across iterations instead of
-			// serializing through the next scan.
+			// order are identical to the per-request path. Comparing
+			// precomputed keys keeps the scan off the aging chain: the FP
+			// adds of consecutive evictions pipeline across iterations
+			// instead of serializing through the next scan.
 			vo, best := s.victim()
 			if best < 0 {
 				return fmt.Errorf("core: alg-fast found no victim at step %d", base)
@@ -774,187 +902,4 @@ func (s *denseCore) stepBatch(base int, pages []int32, bc *sim.BatchCounters, wa
 		}
 	}
 	return nil
-}
-
-// step serves one request for page index pg — the open-world per-request
-// entry point. The event order and arithmetic are identical to stepBatch's
-// per-request body (and therefore to the per-step Dense* path), which is
-// what keeps a live open-world run bit-exact with a closed-world replay of
-// the same request sequence. Returns whether the request hit and, on an
-// evicting miss, the victim's owner (-1 otherwise).
-func (s *denseCore) step(pg int32) (hit bool, victimOwner int32, err error) {
-	r := &s.pr[pg]
-	i := trace.Tenant(r.owner)
-	if r.resident != 0 {
-		s.nextSeq++
-		r.ageStart = s.aging
-		r.seq = s.nextSeq
-		if s.th[i].head != pg {
-			wasTail := s.th[i].tail == pg
-			s.unlink(i, pg)
-			s.pushFront(i, pg)
-			if wasTail && s.vTen >= 0 {
-				s.noteKey(i)
-			}
-		} else if s.th[i].tail == pg {
-			s.th[i].tailAge = s.aging
-			s.th[i].key = s.th[i].marg + s.aging
-			if s.vTen >= 0 {
-				s.noteKey(i)
-			}
-		}
-		return true, -1, nil
-	}
-	victimOwner = -1
-	if s.used >= s.k {
-		vo, best := s.victim()
-		if best < 0 {
-			return false, -1, fmt.Errorf("core: alg-fast found no victim (used=%d k=%d)", s.used, s.k)
-		}
-		s.aging += s.th[vo].marg - (s.aging - s.th[vo].tailAge)
-		if !s.countMisses {
-			s.m[vo]++
-			if !s.th[vo].constMarg {
-				s.th[vo].marg = s.margAt(vo)
-			}
-		}
-		s.popTail(vo, best)
-		if s.vTen >= 0 {
-			s.noteKey(vo)
-		}
-		s.pr[best].resident = 0
-		victimOwner = int32(vo)
-	} else {
-		s.used++
-	}
-	s.nextSeq++
-	if s.countMisses {
-		s.m[i]++
-		if !s.th[i].constMarg {
-			s.th[i].marg = s.margAt(i)
-			s.th[i].key = s.th[i].marg + s.th[i].tailAge
-			if s.th[i].tail >= 0 {
-				if s.vTen >= 0 {
-					s.noteKey(i)
-				}
-			}
-		}
-	}
-	r.ageStart = s.aging
-	r.seq = s.nextSeq
-	r.resident = 1
-	wasEmpty := s.th[i].head < 0
-	s.pushFront(i, pg)
-	if wasEmpty && s.vTen >= 0 {
-		s.noteKey(i)
-	}
-	return false, victimOwner, nil
-}
-
-func (f *Fast) tenantList(i trace.Tenant) *list.List {
-	l, ok := f.lists[i]
-	if !ok {
-		l = list.New()
-		f.lists[i] = l
-	}
-	return l
-}
-
-// budgetOf computes the effective budget of a cached page.
-func (f *Fast) budgetOf(p trace.PageID) float64 {
-	pg := f.info[p]
-	return f.opt.marginal(pg.owner, f.m[pg.owner]) - (f.aging - pg.ageStart)
-}
-
-// OnHit refreshes the page's recency and aging origin.
-func (f *Fast) OnHit(step int, r trace.Request) {
-	f.nextSeq++
-	pg, ok := f.info[r.Page]
-	if !ok {
-		return
-	}
-	pg.ageStart = f.aging
-	pg.seq = f.nextSeq
-	f.tenantList(r.Tenant).MoveToFront(f.elem[r.Page])
-}
-
-// OnInsert registers the page with the current marginal as its budget.
-func (f *Fast) OnInsert(step int, r trace.Request) {
-	f.nextSeq++
-	if f.opt.CountMisses {
-		f.m[r.Tenant]++
-	}
-	f.info[r.Page] = &fastPage{owner: r.Tenant, ageStart: f.aging, seq: f.nextSeq}
-	f.elem[r.Page] = f.tenantList(r.Tenant).PushFront(r.Page)
-}
-
-// Victim scans the per-tenant LRU candidates for the minimum budget. The
-// candidates are compared by marginal + ageStart — the budget ordering with
-// the shared aging term cancelled (see tenantHot.key); the dense backends
-// compare the same fl(marg + tailAge), so all victim paths pick identical
-// victims.
-func (f *Fast) Victim(step int, r trace.Request) trace.PageID {
-	var best trace.PageID
-	bestK := 0.0
-	bestSeq := 0
-	found := false
-	for i, l := range f.lists {
-		back := l.Back()
-		if back == nil {
-			continue
-		}
-		p := back.Value.(trace.PageID)
-		pg := f.info[p]
-		k := f.opt.marginal(i, f.m[i]) + pg.ageStart
-		if !found || k < bestK || (k == bestK && pg.seq < bestSeq) {
-			best, bestK, bestSeq, found = p, k, pg.seq, true
-		}
-	}
-	if !found {
-		panic("core: Fast.Victim called with empty cache")
-	}
-	return best
-}
-
-// OnEvict ages every resident page by the victim's budget and advances the
-// owner's counter (eviction-count mode).
-func (f *Fast) OnEvict(step int, p trace.PageID) {
-	pg, ok := f.info[p]
-	if !ok {
-		return
-	}
-	f.aging += f.budgetOf(p)
-	if !f.opt.CountMisses {
-		f.m[pg.owner]++
-	}
-	f.tenantList(pg.owner).Remove(f.elem[p])
-	delete(f.elem, p)
-	delete(f.info, p)
-}
-
-// Misses returns the internal per-tenant counter m(i, t).
-func (f *Fast) Misses(i trace.Tenant) float64 {
-	if s := f.dn; s != nil {
-		if int(i) < len(s.m) {
-			return s.m[i]
-		}
-		return 0
-	}
-	return f.m[i]
-}
-
-// Budget exposes a cached page's current effective budget for tests.
-func (f *Fast) Budget(p trace.PageID) (float64, bool) {
-	if s := f.dn; s != nil {
-		ix := s.d.IndexOf(p)
-		if ix < 0 || s.pr[ix].resident == 0 {
-			return 0, false
-		}
-		i := s.d.Owners[ix]
-		return s.th[i].marg - (s.aging - s.pr[ix].ageStart), true
-	}
-	if _, ok := f.info[p]; !ok {
-		return 0, false
-	}
-	return f.budgetOf(p), true
 }

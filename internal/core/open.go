@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"convexcache/internal/costfn"
 	"convexcache/internal/trace"
 )
 
@@ -53,18 +52,15 @@ func NewOpen(opt Options, tenants, k, stride, base int) (*Open, error) {
 		return nil, fmt.Errorf("core: invalid residue class %d mod %d", base, stride)
 	}
 	o := &Open{opt: opt, tenants: tenants, stride: int64(stride), base: int64(base)}
-	o.th = make([]tenantHot, tenants)
-	o.m = make([]float64, tenants)
-	o.fs = make([]costfn.Func, tenants)
-	o.cb = make([]float64, tenants)
-	o.initTenants(opt, tenants, k)
+	o.sizeTenants(tenants)
+	o.initTenants(opt, k)
 	return o, nil
 }
 
 // Reset reinitializes the core to its empty state, keeping the grown record
 // table's capacity.
 func (o *Open) Reset() {
-	o.initTenants(o.opt, o.tenants, o.k)
+	o.initTenants(o.opt, o.k)
 	o.pr = o.pr[:0]
 }
 
@@ -109,10 +105,10 @@ func (o *Open) slot(p trace.PageID) (int32, error) {
 
 // Access serves one request: page p by tenant t. It reports whether the
 // request hit and, when the miss evicted a page, the victim's owner (-1
-// otherwise). The step it runs is the shared denseCore step — identical
-// event order and arithmetic to the replay engine's batched loop — so a
-// sequence of Access calls is bit-exact with a closed-world replay of the
-// same requests.
+// otherwise). It composes the core's per-request methods — hit, or victim,
+// evict and insert — whose event order and arithmetic are those of the
+// replay engine's batched step, so a sequence of Access calls is bit-exact
+// with a closed-world replay of the same requests.
 func (o *Open) Access(p trace.PageID, t trace.Tenant) (hit bool, victimOwner trace.Tenant, err error) {
 	if int(t) < 0 || int(t) >= o.tenants {
 		return false, -1, fmt.Errorf("core: tenant %d outside [0,%d)", t, o.tenants)
@@ -130,93 +126,43 @@ func (o *Open) Access(p trace.PageID, t trace.Tenant) (hit bool, victimOwner tra
 	} else if r.owner != int32(t) {
 		return false, -1, fmt.Errorf("core: page %d owned by tenant %d, accessed by %d", p, r.owner, t)
 	}
-	h, vo, err := o.step(ix)
-	if err != nil {
-		return false, -1, err
+	if r.resident != 0 {
+		o.hit(ix)
+		return true, -1, nil
 	}
-	return h, trace.Tenant(vo), nil
+	victimOwner = -1
+	if o.used >= o.k {
+		vo, v := o.victim()
+		if v < 0 {
+			return false, -1, fmt.Errorf("core: alg-fast found no victim (used=%d k=%d)", o.used, o.k)
+		}
+		o.evict(vo, v)
+		victimOwner = vo
+	}
+	o.insert(ix)
+	return false, victimOwner, nil
 }
 
 // Used returns the number of resident pages.
 func (o *Open) Used() int { return o.used }
 
-// Misses returns the internal per-tenant counter m(i, t).
-func (o *Open) Misses(i trace.Tenant) float64 {
-	if int(i) < 0 || int(i) >= o.tenants {
-		return 0
-	}
-	return o.m[i]
-}
-
-// Snapshot captures the core's state in the same FastSnapshot format the
-// closed-world backend serializes — per-tenant most-recent-first page walks
-// with ids mapped back out of the slot table — so checkpoints written by a
-// dense-mode shard are restorable by a map-mode one and vice versa.
+// Snapshot captures the core's state in the FastSnapshot format, with
+// record indices mapped back to residue-class page ids.
 func (o *Open) Snapshot() FastSnapshot {
-	s := FastSnapshot{
-		Aging:   o.aging,
-		Misses:  make(map[trace.Tenant]float64, len(o.m)),
-		NextSeq: int(o.nextSeq),
-	}
-	for i, m := range o.m {
-		if m != 0 {
-			s.Misses[trace.Tenant(i)] = m
-		}
-	}
-	for i := range o.th {
-		// Stop at the recorded tail, not at a -1 next link: popTail retires
-		// tails without rewriting the new tail's next pointer.
-		for p := o.th[i].head; p >= 0; {
-			s.Pages = append(s.Pages, PageSnapshot{
-				Page:     trace.PageID(o.base + int64(p)*o.stride),
-				Owner:    trace.Tenant(i),
-				AgeStart: o.pr[p].ageStart,
-				Seq:      int(o.pr[p].seq),
-			})
-			if p == o.th[i].tail {
-				break
-			}
-			p = o.pr[p].next
-		}
-	}
-	return s
+	return o.snapshot(func(ix int32) trace.PageID { return trace.PageID(o.base + int64(ix)*o.stride) })
 }
 
-// Restore replaces the core's state with the snapshot. The snapshot's
-// per-tenant miss counters fully determine every marginal (marg is a pure
-// function of m(i)), so marginals are recomputed rather than serialized and
-// the restored state is bit-identical to the snapshotted one.
+// Restore replaces the core's state with the snapshot.
 func (o *Open) Restore(s FastSnapshot) error {
 	o.Reset()
-	o.aging = s.Aging
-	o.nextSeq = int64(s.NextSeq)
-	for i, m := range s.Misses {
+	tenant := func(i trace.Tenant) error {
 		if int(i) < 0 || int(i) >= o.tenants {
 			return fmt.Errorf("core: snapshot tenant %d outside [0,%d)", i, o.tenants)
 		}
-		o.m[i] = m
-		o.th[i].marg = o.margAt(i)
-		o.th[i].key = o.th[i].marg // tailAge is zero until a page lands
+		return nil
 	}
-	// Pages arrive most-recent-first per tenant; pushBack preserves order.
-	for _, ps := range s.Pages {
-		if int(ps.Owner) < 0 || int(ps.Owner) >= o.tenants {
-			return fmt.Errorf("core: snapshot page %d owned by unknown tenant %d", ps.Page, ps.Owner)
-		}
-		ix, err := o.slot(ps.Page)
-		if err != nil {
-			return err
-		}
-		r := &o.pr[ix]
-		if r.resident != 0 {
-			return fmt.Errorf("core: snapshot lists page %d twice", ps.Page)
-		}
-		r.owner = int32(ps.Owner)
-		r.ageStart = ps.AgeStart
-		r.seq = int64(ps.Seq)
-		r.resident = 1
-		o.pushBack(ps.Owner, ix)
-		o.used++
+	if err := o.restore(s, tenant, o.slot); err != nil {
+		return err
 	}
 	if o.used > o.k {
 		return fmt.Errorf("core: snapshot holds %d pages, capacity %d", o.used, o.k)

@@ -55,14 +55,9 @@ func TestOpenMatchesDenseReplay(t *testing.T) {
 			}
 			tr := b.MustBuild()
 
-			// Closed-world reference: the dense engine over Fast.
-			var victims []trace.PageID
+			// Closed-world reference: the batched dense engine over Fast.
 			f := NewFast(opt)
-			res, err := sim.Run(tr, f, sim.Config{K: k, Engine: sim.EngineDense, Observer: func(ev sim.Event) {
-				if ev.Evicted >= 0 {
-					victims = append(victims, ev.Evicted)
-				}
-			}})
+			res, err := sim.Run(tr, f, sim.Config{K: k, Engine: sim.EngineDense})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +101,6 @@ func TestOpenMatchesDenseReplay(t *testing.T) {
 				t.Fatalf("seed=%d countMisses=%v: final snapshots differ\nopen: %+v\nfast: %+v",
 					seed, countMisses, sOpen, sFast)
 			}
-			_ = victims
 		}
 	}
 }
@@ -276,8 +270,9 @@ func TestOpenSinglePageTenants(t *testing.T) {
 // with the incremental victim cursor enabled (the default) and disabled
 // (Options.NoVictimCursor), victim selection must be identical — the cursor
 // only ever caches a UNIQUE strict argmin, so it can never disagree with
-// the full scan's tie-broken answer. Runs both the closed-world batched
-// engine and the open-world step across cost families and counter modes.
+// the full scan's tie-broken answer. Runs Fast's per-request methods (victim
+// by victim), the batched dense engine (counters and final state) and the
+// open-world Access path across cost families and counter modes.
 func TestVictimCursorMatchesFullScan(t *testing.T) {
 	costSets := denseCostSets(t)
 	for name, mkCost := range costSets {
@@ -305,6 +300,12 @@ func TestVictimCursorMatchesFullScan(t *testing.T) {
 				ref := runWithLog(t, tr, NewFast(optNC), k)
 				if !equalLogs(t, name+"/cursor-vs-scan", cur, ref) {
 					t.Fatalf("costs=%s countMisses=%v seed=%d k=%d", name, countMisses, seed, k)
+				}
+				fc, fn := NewFast(opt), NewFast(optNC)
+				rc := sim.MustRun(tr, fc, sim.Config{K: k, Engine: sim.EngineDense})
+				rn := sim.MustRun(tr, fn, sim.Config{K: k, Engine: sim.EngineDense})
+				if !reflect.DeepEqual(rc, rn) || !reflect.DeepEqual(fc.Snapshot(), fn.Snapshot()) {
+					t.Fatalf("batched cursor diverged: costs=%s countMisses=%v seed=%d k=%d", name, countMisses, seed, k)
 				}
 
 				oc, err := NewOpen(opt, tenants, k, 1, 0)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"convexcache/internal/trace"
 )
@@ -39,94 +38,88 @@ type PageSnapshot struct {
 
 // Snapshot captures the current state. Cost functions are configuration,
 // not state, and are not serialized; Restore must be called on an instance
-// built with equivalent Options. Both state backends are supported: after a
-// dense sim.Run the flat-slice state is walked, otherwise the map state.
-func (f *Fast) Snapshot() FastSnapshot {
-	if f.dn != nil {
-		return f.snapshotDense()
-	}
-	s := FastSnapshot{
-		Aging:   f.aging,
-		Misses:  make(map[trace.Tenant]float64, len(f.m)),
-		NextSeq: f.nextSeq,
-	}
-	for i, m := range f.m {
-		s.Misses[i] = m
-	}
-	// Walk tenants in ascending id order so the serialized page list is
-	// deterministic and identical to the dense backend's; map iteration
-	// order here broke snapshot round-trip idempotence (found by the
-	// internal/check differential oracle).
-	tenants := make([]trace.Tenant, 0, len(f.lists))
-	for i := range f.lists {
-		tenants = append(tenants, i)
-	}
-	sort.Slice(tenants, func(a, b int) bool { return tenants[a] < tenants[b] })
-	for _, i := range tenants {
-		l := f.lists[i]
-		for e := l.Front(); e != nil; e = e.Next() {
-			p := e.Value.(trace.PageID)
-			pg := f.info[p]
-			s.Pages = append(s.Pages, PageSnapshot{
-				Page: p, Owner: pg.owner, AgeStart: pg.ageStart, Seq: pg.seq,
-			})
-		}
-	}
-	return s
-}
+// built with equivalent Options.
+func (f *Fast) Snapshot() FastSnapshot { return f.snapshot(f.pageOf) }
 
-// snapshotDense materializes the dense backend's state in the same
-// most-recent-first per-tenant order the map backend produces.
-func (f *Fast) snapshotDense() FastSnapshot {
-	dn := f.dn
-	s := FastSnapshot{
-		Aging:   dn.aging,
-		Misses:  make(map[trace.Tenant]float64, len(dn.m)),
-		NextSeq: int(dn.nextSeq),
-	}
-	for i, m := range dn.m {
-		if m != 0 {
-			s.Misses[trace.Tenant(i)] = m
-		}
-	}
-	for i := range dn.th {
-		// The walk must stop at the recorded tail rather than on a -1 next
-		// link: the batched eviction path retires tails without rewriting
-		// the new tail's next pointer, so the last resident record's next
-		// may point at an evicted page.
-		for p := dn.th[i].head; p >= 0; {
-			s.Pages = append(s.Pages, PageSnapshot{
-				Page:     dn.d.Pages[p],
-				Owner:    trace.Tenant(i),
-				AgeStart: dn.pr[p].ageStart,
-				Seq:      int(dn.pr[p].seq),
-			})
-			if p == dn.th[i].tail {
-				break
-			}
-			p = dn.pr[p].next
-		}
-	}
-	return s
-}
-
-// Restore replaces the instance's state with the snapshot.
+// Restore replaces the instance's state with the snapshot and leaves it
+// ready for a direct drive.
 func (f *Fast) Restore(s FastSnapshot) error {
 	f.Reset()
-	f.aging = s.Aging
-	f.nextSeq = s.NextSeq
-	for i, m := range s.Misses {
-		f.m[i] = m
+	return f.restore(s, f.ensureTenant, func(p trace.PageID) (int32, error) { return f.index(p), nil })
+}
+
+// snapshot walks the core into the FastSnapshot format: per-tenant
+// most-recent-first page lists in ascending tenant order, with record
+// indices mapped back to page ids by pageOf — the one difference between
+// Fast's and Open's images.
+func (s *denseCore) snapshot(pageOf func(int32) trace.PageID) FastSnapshot {
+	snap := FastSnapshot{
+		Aging:   s.aging,
+		Misses:  make(map[trace.Tenant]float64, len(s.m)),
+		NextSeq: int(s.nextSeq),
 	}
-	// Pages arrive most-recent-first per tenant; PushBack preserves order.
-	seen := make(map[trace.PageID]bool, len(s.Pages))
-	for _, ps := range s.Pages {
-		if seen[ps.Page] {
+	for i, m := range s.m {
+		if m != 0 {
+			snap.Misses[trace.Tenant(i)] = m
+		}
+	}
+	for i := range s.th {
+		// Stop at the recorded tail, not at a -1 next link: popTail retires
+		// tails without rewriting the new tail's next pointer, so the last
+		// resident record's next may point at an evicted page.
+		for p := s.th[i].head; p >= 0; {
+			snap.Pages = append(snap.Pages, PageSnapshot{
+				Page:     pageOf(p),
+				Owner:    trace.Tenant(i),
+				AgeStart: s.pr[p].ageStart,
+				Seq:      int(s.pr[p].seq),
+			})
+			if p == s.th[i].tail {
+				break
+			}
+			p = s.pr[p].next
+		}
+	}
+	return snap
+}
+
+// restore loads snapshot snap into the freshly reset core. tenant readies
+// (or rejects) a tenant's state and slot returns a page's record index: Fast
+// grows both on first sight, Open validates them against its fixed tenant
+// universe and residue class. The per-tenant miss counters fully determine
+// every marginal (marg is a pure function of m(i)), so marginals are
+// recomputed rather than serialized and the restored state is bit-identical
+// to the snapshotted one.
+func (s *denseCore) restore(snap FastSnapshot, tenant func(trace.Tenant) error, slot func(trace.PageID) (int32, error)) error {
+	s.aging = snap.Aging
+	s.nextSeq = int64(snap.NextSeq)
+	for i, m := range snap.Misses {
+		if err := tenant(i); err != nil {
+			return err
+		}
+		s.m[i] = m
+		s.th[i].marg = s.margAt(i)
+		s.th[i].key = s.th[i].marg // tailAge is zero until a page lands
+	}
+	// Pages arrive most-recent-first per tenant; pushBack preserves order.
+	for _, ps := range snap.Pages {
+		if err := tenant(ps.Owner); err != nil {
+			return err
+		}
+		ix, err := slot(ps.Page)
+		if err != nil {
+			return err
+		}
+		r := &s.pr[ix]
+		if r.resident != 0 {
 			return fmt.Errorf("core: snapshot lists page %d twice", ps.Page)
 		}
-		seen[ps.Page] = true
-		f.info[ps.Page] = &fastPage{owner: ps.Owner, ageStart: ps.AgeStart, seq: ps.Seq}
-		f.elem[ps.Page] = f.tenantList(ps.Owner).PushBack(ps.Page)
+		r.owner = int32(ps.Owner)
+		r.ageStart = ps.AgeStart
+		r.seq = int64(ps.Seq)
+		r.resident = 1
+		s.pushBack(ps.Owner, ix)
+		s.used++
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ package multipool
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"convexcache/internal/core"
 	"convexcache/internal/costfn"
@@ -187,11 +188,19 @@ func (s *System) migrate(t trace.Tenant, to int) {
 		return
 	}
 	p := s.pools[from]
+	// Evict in ascending page order: each OnEvict moves the pool's aging
+	// counter to the evicted page's budget origin, so the order shows in
+	// later victims, and map iteration order would make runs differ.
+	var pages []trace.PageID
 	for pg, owner := range p.cache {
 		if owner == t {
-			delete(p.cache, pg)
-			p.policy.OnEvict(p.step, pg)
+			pages = append(pages, pg)
 		}
+	}
+	slices.Sort(pages)
+	for _, pg := range pages {
+		delete(p.cache, pg)
+		p.policy.OnEvict(p.step, pg)
 	}
 	s.assign[t] = to
 	s.migrations++

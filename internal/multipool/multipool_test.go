@@ -2,6 +2,7 @@ package multipool
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"convexcache/internal/core"
@@ -251,5 +252,48 @@ func TestServeUnknownTenant(t *testing.T) {
 	}
 	if err := sys.Serve(trace.Request{Page: 1, Tenant: 7}); err == nil {
 		t.Error("unknown tenant accepted")
+	}
+}
+
+// TestMigrationDeterministic repeats one migration scenario and requires
+// every run to end identically. Migration evicts several of a tenant's pages
+// back to back, and each eviction moves the pool's aging counter, so the
+// eviction order decides later victims; it must not follow map iteration.
+func TestMigrationDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := trace.NewBuilder()
+	for i := 0; i < 2400; i++ {
+		tn := rng.Intn(3)
+		b.Add(trace.Tenant(tn), trace.PageID(tn*100+rng.Intn(8)))
+	}
+	reqs := b.MustBuild().Requests()
+	type outcome struct {
+		res   Result
+		snaps []core.FastSnapshot
+	}
+	run := func() outcome {
+		sys, err := New(Config{PoolSizes: []int{6, 6}, Costs: quadCosts(3), Assign: []int{0, 0, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range reqs {
+			if i == 400 {
+				sys.migrate(0, 1)
+			}
+			if err := sys.Serve(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := outcome{res: sys.Result()}
+		for _, p := range sys.pools {
+			o.snaps = append(o.snaps, p.policy.Snapshot())
+		}
+		return o
+	}
+	want := run()
+	for i := 1; i < 30; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d differs from run 0:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }

@@ -30,8 +30,9 @@ type Checkpoint struct {
 // same whether a replay runs synchronously or as a job.
 const checkCadence = sim.CheckEverySteps
 
-// RunCheckpointed replays tr through f exactly like sim.Run's map engine
-// (same victim/insert sequence, same counters) but snapshots a Checkpoint
+// RunCheckpointed replays tr through f on sim's map step, exactly like
+// sim.Run's map engine (same victim/insert sequence, same counters), but
+// snapshots a Checkpoint
 // every `every` steps via save, and can start from a prior Checkpoint. A
 // run resumed from a checkpoint produces a Result bit-identical to an
 // uninterrupted run: the snapshot round-trip is idempotent (proved by the
@@ -65,7 +66,7 @@ func RunCheckpointed(
 		Misses:         make([]int64, nt),
 		Evictions:      make([]int64, nt),
 	}
-	cache := make(map[trace.PageID]trace.Tenant, k)
+	cache := sim.NewMapCache(f, k)
 	start := 0
 	if from != nil {
 		if from.Step < 0 || from.Step > n {
@@ -75,7 +76,7 @@ func RunCheckpointed(
 			return sim.Result{}, fmt.Errorf("resilience: restore checkpoint: %w", err)
 		}
 		for p, t := range from.Snap.ResidentPages() {
-			cache[p] = t
+			cache.Seed(p, t)
 		}
 		start = from.Step
 		res.Hits = from.Hits
@@ -97,23 +98,17 @@ func RunCheckpointed(
 			}
 		}
 		r := tr.At(step)
-		if _, ok := cache[r.Page]; ok {
+		hit, _, owner, err := cache.Access(step, r)
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("resilience: %w", err)
+		}
+		if hit {
 			res.Hits++
-			f.OnHit(step, r)
 		} else {
 			res.Misses[r.Tenant]++
-			if len(cache) >= k {
-				v := f.Victim(step, r)
-				owner, ok := cache[v]
-				if !ok {
-					return sim.Result{}, fmt.Errorf("resilience: policy returned victim %d not in cache at step %d", v, step)
-				}
-				delete(cache, v)
+			if owner >= 0 {
 				res.Evictions[owner]++
-				f.OnEvict(step, v)
 			}
-			cache[r.Page] = r.Tenant
-			f.OnInsert(step, r)
 		}
 		// Checkpoint on interior boundaries only; the final state is the
 		// Result itself.

@@ -183,8 +183,14 @@ func TestExecuteMatchesDirectMatrix(t *testing.T) {
 						t.Fatalf("cost diverges: spec %v direct %v", row.Cost, wantCost)
 					}
 
-					// Oracle: the cell passes the invariant shadow model.
-					if _, err := check.MustPass(tr, newDirectPolicy(t, policyName, k, tr.NumTenants(), costs), cfg, costs); err != nil {
+					// Oracle: the cell passes the invariant shadow model. Its
+					// per-step observer needs the map engine, so a dense cell
+					// is checked on the engine that observed runs take.
+					ocfg := cfg
+					if ocfg.Engine == sim.EngineDense {
+						ocfg.Engine = sim.EngineAuto
+					}
+					if _, err := check.MustPass(tr, newDirectPolicy(t, policyName, k, tr.NumTenants(), costs), ocfg, costs); err != nil {
 						t.Fatalf("invariant oracle: %v", err)
 					}
 				})

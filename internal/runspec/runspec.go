@@ -55,6 +55,8 @@ type Scenario struct {
 	// Warmup excludes the first N requests from the result counters.
 	Warmup int `json:"warmup,omitempty"`
 	// Engine pins the request loop: "auto" (default), "map" or "dense".
+	// "dense" excludes observers: the dense engine emits no per-step events,
+	// so "auto" runs observed rows on the map engine.
 	Engine string `json:"engine,omitempty"`
 	// Shards, when > 1, replays every row via deterministic sharded replay
 	// (sim.RunSharded): pages are partitioned across this many single-writer
@@ -269,13 +271,19 @@ func (sc *Scenario) Validate() error {
 	if sc.Shards < 0 {
 		return specErrf("runspec: shards must be non-negative")
 	}
+	observed := sc.Observers.Check || sc.Observers.Fault != "" || sc.Observers.Window > 0 || sc.Observer != nil || sc.RowObserver != nil
+	if sc.Engine == "dense" && observed {
+		// The dense engine serves requests in batches and emits no per-step
+		// events; observed runs take the map engine.
+		return specErrf("runspec: the dense engine and observers are mutually exclusive (observed runs need engine auto or map)")
+	}
 	if sc.Shards > 1 {
 		// Sharded replay is dense-only and delivers no per-step events:
 		// concurrent shards would interleave them nondeterministically.
 		if sc.Engine == "map" {
 			return specErrf("runspec: shards require the dense engine, not %q", sc.Engine)
 		}
-		if sc.Observers.Check || sc.Observers.Fault != "" || sc.Observers.Window > 0 || sc.Observer != nil || sc.RowObserver != nil {
+		if observed {
 			return specErrf("runspec: shards and observers are mutually exclusive")
 		}
 		for _, k := range sc.Ks() {

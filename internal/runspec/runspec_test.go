@@ -111,6 +111,10 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown engine", func(sc *Scenario) { sc.Engine = "gpu" }, `unknown engine "gpu"`},
 		{"negative warmup", func(sc *Scenario) { sc.Warmup = -1 }, "warmup must be non-negative"},
 		{"negative window", func(sc *Scenario) { sc.Observers.Window = -5 }, "window must be non-negative"},
+		{"dense engine with observer", func(sc *Scenario) {
+			sc.Engine = "dense"
+			sc.Observers.Window = 10
+		}, "dense engine and observers are mutually exclusive"},
 		{"workload without tenants", func(sc *Scenario) {
 			sc.Trace = TraceSpec{Workload: &WorkloadSpec{Length: 10}}
 		}, "at least one tenant stream"},

@@ -10,10 +10,10 @@ import (
 )
 
 // TestBatchedMatchesPerStep compares the batched dense loop against the
-// per-step dense loop (NoBatch) over the oracle workload corpus, sweeping
-// warmup boundaries that land before, inside, and exactly on batch
-// boundaries — the splitting logic must keep every StepBatch call entirely
-// warm or entirely measured.
+// per-step map engine, which drives Fast's per-request methods, over the
+// oracle workload corpus, sweeping warmup boundaries that land before,
+// inside, and exactly on batch boundaries — the splitting logic must keep
+// every StepBatch call entirely warm or entirely measured.
 func TestBatchedMatchesPerStep(t *testing.T) {
 	for _, w := range check.Workloads() {
 		tr, err := w.Gen(23, 5000)
@@ -28,7 +28,7 @@ func TestBatchedMatchesPerStep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s k=%d warm=%d batched: %v", w.Name, k, warm, err)
 				}
-				cfg.NoBatch = true
+				cfg.Engine = sim.EngineMap
 				perStep, err := sim.Run(tr, mk(), cfg)
 				if err != nil {
 					t.Fatalf("%s k=%d warm=%d per-step: %v", w.Name, k, warm, err)
@@ -40,8 +40,9 @@ func TestBatchedMatchesPerStep(t *testing.T) {
 }
 
 // TestBatchedObserverFallsBack pins the engine contract that installing an
-// Observer routes the run onto the per-step loop: the observed event stream
-// must account for every request even for a BatchPolicy.
+// Observer routes the run onto the map engine: the observed event stream
+// must account for every request even for a DensePolicy, and pinning the
+// dense engine with an Observer is refused.
 func TestBatchedObserverFallsBack(t *testing.T) {
 	tr := shardedTrace(t, 3000)
 	mk := fastFactory(tr.NumTenants())
@@ -56,6 +57,10 @@ func TestBatchedObserverFallsBack(t *testing.T) {
 	}
 	if got := res.Hits + res.TotalMisses(); got != int64(tr.Len()) {
 		t.Fatalf("hits+misses = %d, want %d", got, tr.Len())
+	}
+	cfg.Engine = sim.EngineDense
+	if _, err := sim.Run(tr, mk(), cfg); !errors.Is(err, sim.ErrDenseObserver) {
+		t.Fatalf("dense engine with an observer: got %v, want ErrDenseObserver", err)
 	}
 }
 

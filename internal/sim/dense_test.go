@@ -2,36 +2,65 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"convexcache/internal/trace"
 )
 
 // denseFIFO is fifoTest on the dense interface: the same FIFO semantics
-// over dense page indices, used to cross-check the two engines.
+// over dense page indices, served a batch at a time with its own residency,
+// used to cross-check the two engines. badVictim makes it nominate a page
+// that is not cached, which must fail the run.
 type denseFIFO struct {
 	fifoTest
-	d     *trace.Dense
-	queue []int32
+	d         *trace.Dense
+	k         int
+	in        []bool
+	fifo      []int32
+	badVictim bool
 }
 
 func (f *denseFIFO) PrepareDense(d *trace.Dense, k int) bool {
-	f.d = d
-	f.queue = f.queue[:0]
+	f.d, f.k = d, k
+	if cap(f.in) < d.NumPages() {
+		f.in = make([]bool, d.NumPages())
+	}
+	f.in = f.in[:d.NumPages()]
+	clear(f.in)
+	f.fifo = f.fifo[:0]
 	return true
 }
-func (f *denseFIFO) DenseHit(step int, page int32)    {}
-func (f *denseFIFO) DenseInsert(step int, page int32) { f.queue = append(f.queue, page) }
-func (f *denseFIFO) DenseVictim(step int, page int32) int32 {
-	return f.queue[0]
-}
-func (f *denseFIFO) DenseEvict(step int, page int32) {
-	for i, q := range f.queue {
-		if q == page {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			return
+
+func (f *denseFIFO) StepBatch(base int, pages []int32, bc *BatchCounters, warm bool) error {
+	for j, pg := range pages {
+		if f.in[pg] {
+			if !warm {
+				bc.Hits++
+			}
+			continue
 		}
+		if !warm {
+			bc.Misses[f.d.Owners[pg]]++
+		}
+		if len(f.fifo) >= f.k {
+			v := f.fifo[0]
+			if f.badVictim {
+				v = -1
+			}
+			if v < 0 || !f.in[v] {
+				return fmt.Errorf("dense fifo: victim %d not cached at step %d", v, base+j)
+			}
+			f.in[v] = false
+			f.fifo = f.fifo[:copy(f.fifo, f.fifo[1:])]
+			if !warm {
+				bc.Evictions[f.d.Owners[v]]++
+			}
+		}
+		f.in[pg] = true
+		f.fifo = append(f.fifo, pg)
 	}
+	return nil
 }
 
 // decliningDense declines the dense path and must fall back to the map
@@ -46,38 +75,25 @@ func (p *decliningDense) PrepareDense(d *trace.Dense, k int) bool {
 	return false
 }
 
-// badDense returns a non-resident victim; the engine must fail the run.
-type badDense struct{ denseFIFO }
-
-func (b *badDense) DenseVictim(step int, page int32) int32 { return -1 }
-
 func TestDenseEngineMatchesMapEngine(t *testing.T) {
 	tr := seqTrace(t, 1, 101, 2, 1, 101, 3, 2, 1, 202, 3, 1, 101)
 	for _, k := range []int{1, 2, 3, 5} {
-		var mapEvents, denseEvents []Event
-		mapRes, err := runMap(context.Background(), tr, &fifoTest{}, Config{K: k, Observer: func(ev Event) { mapEvents = append(mapEvents, ev) }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		denseRes, err := Run(tr, &denseFIFO{}, Config{K: k, Observer: func(ev Event) { denseEvents = append(denseEvents, ev) }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mapRes.Hits != denseRes.Hits || mapRes.Steps != denseRes.Steps || mapRes.EffectiveSteps != denseRes.EffectiveSteps {
-			t.Fatalf("k=%d: results differ: map=%+v dense=%+v", k, mapRes, denseRes)
-		}
-		for i := range mapRes.Misses {
-			if mapRes.Misses[i] != denseRes.Misses[i] || mapRes.Evictions[i] != denseRes.Evictions[i] {
-				t.Fatalf("k=%d tenant %d: counters differ: map=%+v dense=%+v", k, i, mapRes, denseRes)
+		for _, warm := range []int{0, 3} {
+			mapRes, err := runMap(context.Background(), tr, &fifoTest{}, Config{K: k, WarmupSteps: warm})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(mapEvents) != len(denseEvents) {
-			t.Fatalf("k=%d: event counts differ: %d vs %d", k, len(mapEvents), len(denseEvents))
-		}
-		for i := range mapEvents {
-			// The policy names differ; everything else must match.
-			if mapEvents[i] != denseEvents[i] {
-				t.Fatalf("k=%d step %d: events differ: %+v vs %+v", k, i, mapEvents[i], denseEvents[i])
+			denseRes, err := Run(tr, &denseFIFO{}, Config{K: k, WarmupSteps: warm, Engine: EngineDense})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapRes.Hits != denseRes.Hits || mapRes.Steps != denseRes.Steps || mapRes.EffectiveSteps != denseRes.EffectiveSteps {
+				t.Fatalf("k=%d warm=%d: results differ: map=%+v dense=%+v", k, warm, mapRes, denseRes)
+			}
+			for i := range mapRes.Misses {
+				if mapRes.Misses[i] != denseRes.Misses[i] || mapRes.Evictions[i] != denseRes.Evictions[i] {
+					t.Fatalf("k=%d warm=%d tenant %d: counters differ: map=%+v dense=%+v", k, warm, i, mapRes, denseRes)
+				}
 			}
 		}
 	}
@@ -115,7 +131,7 @@ func TestDensePolicyDeclineFallsBack(t *testing.T) {
 
 func TestDenseEngineRejectsBadVictim(t *testing.T) {
 	tr := seqTrace(t, 1, 2, 3)
-	if _, err := Run(tr, &badDense{}, Config{K: 1}); err == nil {
+	if _, err := Run(tr, &denseFIFO{badVictim: true}, Config{K: 1}); err == nil {
 		t.Fatal("non-resident dense victim accepted")
 	}
 }
@@ -139,7 +155,7 @@ func TestDenseEngineZeroAllocSteadyState(t *testing.T) {
 		}
 	})
 	// A full 5000-request run may allocate a fixed handful of setup slices
-	// (result counters, slot table); the loop itself must not. Amortized
+	// (result counters); the loop itself must not. Amortized
 	// over 5000 requests anything per-step would exceed this bound by 100x.
 	if allocs > 20 {
 		t.Errorf("allocations per run = %g, want <= 20 (setup only)", allocs)

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 
 	"convexcache/internal/trace"
 )
@@ -27,22 +25,6 @@ type RequestSource interface {
 	Next(step int, cache CacheView) trace.Request
 }
 
-// cacheState implements CacheView over the engine's map.
-type cacheState struct {
-	m map[trace.PageID]trace.Tenant
-}
-
-func (c cacheState) Contains(p trace.PageID) bool { _, ok := c.m[p]; return ok }
-func (c cacheState) Len() int                     { return len(c.m) }
-func (c cacheState) Pages() []trace.PageID {
-	out := make([]trace.PageID, 0, len(c.m))
-	for p := range c.m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // RunInteractive drives policy p for `steps` requests produced online by the
 // source, which may inspect the cache before each request. It returns the
 // run result and the materialized trace (for replay against offline
@@ -54,8 +36,7 @@ func RunInteractive(src RequestSource, steps int, p Policy, cfg Config) (Result,
 	if steps <= 0 {
 		return Result{}, nil, errors.New("sim: interactive run needs positive steps")
 	}
-	cache := make(map[trace.PageID]trace.Tenant, cfg.K)
-	view := cacheState{m: cache}
+	cache := NewMapCache(p, cfg.K)
 	b := trace.NewBuilder()
 	res := Result{Policy: p.Name(), K: cfg.K, Steps: steps, EffectiveSteps: steps}
 	grow := func(tenant trace.Tenant) {
@@ -65,34 +46,24 @@ func RunInteractive(src RequestSource, steps int, p Policy, cfg Config) (Result,
 		}
 	}
 	for step := 0; step < steps; step++ {
-		r := src.Next(step, view)
+		r := src.Next(step, cache)
 		b.Add(r.Tenant, r.Page)
 		grow(r.Tenant)
-		ev := Event{Step: step, Req: r, Evicted: -1, EvictedTenant: -1}
-		if _, ok := cache[r.Page]; ok {
+		hit, victim, owner, err := cache.Access(step, r)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		if hit {
 			res.Hits++
-			p.OnHit(step, r)
 		} else {
-			ev.Miss = true
 			res.Misses[r.Tenant]++
-			if len(cache) >= cfg.K {
-				victim := p.Victim(step, r)
-				owner, ok := cache[victim]
-				if !ok {
-					return Result{}, nil, fmt.Errorf("sim: policy %s returned victim %d not in cache at step %d", p.Name(), victim, step)
-				}
-				delete(cache, victim)
+			if owner >= 0 {
 				grow(owner)
 				res.Evictions[owner]++
-				p.OnEvict(step, victim)
-				ev.Evicted = victim
-				ev.EvictedTenant = owner
 			}
-			cache[r.Page] = r.Tenant
-			p.OnInsert(step, r)
 		}
 		if cfg.Observer != nil {
-			cfg.Observer(ev)
+			cfg.Observer(Event{Step: step, Req: r, Miss: !hit, Evicted: victim, EvictedTenant: owner})
 		}
 	}
 	tr, err := b.Build()

@@ -242,7 +242,6 @@ func (pl *ShardPlan) runShard(ctx context.Context, s int, mk func() Policy, cfg 
 	scfg := Config{
 		K:           pl.kShare(cfg.K, s),
 		WarmupSteps: pl.warmupAt(s, cfg.WarmupSteps),
-		NoBatch:     cfg.NoBatch,
 		Progress:    progress,
 	}
 	view := pl.d.Subsequence(pl.shards[s].reqs)

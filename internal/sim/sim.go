@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"convexcache/internal/costfn"
 	"convexcache/internal/trace"
@@ -151,13 +152,15 @@ type Engine int
 
 const (
 	// EngineAuto (the default) uses the dense engine when the policy
-	// implements DensePolicy and accepts the trace, else the map engine.
+	// implements DensePolicy, accepts the trace and no Observer is
+	// installed, else the map engine.
 	EngineAuto Engine = iota
 	// EngineMap forces the map-backed engine even for dense-capable
 	// policies; used by differential tests that compare the two loops.
 	EngineMap
 	// EngineDense requires the dense engine and fails the run when the
-	// policy does not implement DensePolicy or declines the trace.
+	// policy does not implement DensePolicy, declines the trace, or an
+	// Observer is installed (the dense engine emits no per-step events).
 	EngineDense
 )
 
@@ -173,10 +176,6 @@ type Config struct {
 	WarmupSteps int
 	// Engine pins the run to one of the two request loops; see EngineAuto.
 	Engine Engine
-	// NoBatch forces the per-step dense loop even for policies implementing
-	// BatchPolicy. Used by the differential oracles and tests that compare
-	// the batched loop against the per-step reference.
-	NoBatch bool
 	// Progress, when non-nil, is invoked roughly every CheckEverySteps
 	// steps with the number of steps completed since the previous call,
 	// and once more after the last request with the remainder. The deltas
@@ -226,9 +225,12 @@ func RunContext(ctx context.Context, tr *trace.Trace, p Policy, cfg Config) (Res
 	if op, ok := p.(OfflinePolicy); ok {
 		op.Prepare(trace.Index(tr))
 	}
-	if cfg.Engine != EngineMap {
+	if cfg.Engine == EngineDense && cfg.Observer != nil {
+		return Result{}, ErrDenseObserver
+	}
+	if cfg.Engine != EngineMap && cfg.Observer == nil {
 		if dp, ok := p.(DensePolicy); ok {
-			if res, handled, err := runDense(ctx, tr, dp, cfg); handled {
+			if res, handled, err := runDenseView(ctx, tr.Dense(), dp, cfg); handled {
 				return res, err
 			}
 		}
@@ -250,8 +252,13 @@ func effectiveSteps(total, warmup int) int {
 	return total - warmup
 }
 
-// runMap is the original map-backed engine, kept as the fallback for
-// policies without a dense fast path.
+// ErrDenseObserver rejects a run that pins the dense engine and installs an
+// Observer: the dense engine serves requests in batches and emits no
+// per-step events, so observed runs take the map engine.
+var ErrDenseObserver = errors.New("sim: the dense engine emits no per-step events; observed runs take the map engine (engine auto or map)")
+
+// runMap is the map-backed engine: every policy runs on it, and observed
+// runs of dense-capable policies too.
 func runMap(ctx context.Context, tr *trace.Trace, p Policy, cfg Config) (Result, error) {
 	nTenants := tr.NumTenants()
 	res := Result{
@@ -264,7 +271,7 @@ func runMap(ctx context.Context, tr *trace.Trace, p Policy, cfg Config) (Result,
 	}
 	done := ctx.Done()
 	reported := 0
-	cache := make(map[trace.PageID]trace.Tenant, cfg.K)
+	c := NewMapCache(p, cfg.K)
 	for step, r := range tr.Requests() {
 		if step&checkMask == checkMask {
 			if done != nil {
@@ -279,43 +286,93 @@ func runMap(ctx context.Context, tr *trace.Trace, p Policy, cfg Config) (Result,
 				reported = step + 1
 			}
 		}
+		hit, victim, owner, err := c.Access(step, r)
+		if err != nil {
+			return Result{}, err
+		}
 		warm := step < cfg.WarmupSteps
-		ev := Event{Step: step, Req: r, Evicted: -1, EvictedTenant: -1, Warmup: warm}
-		if _, ok := cache[r.Page]; ok {
-			if !warm {
+		if !warm {
+			if hit {
 				res.Hits++
-			}
-			p.OnHit(step, r)
-		} else {
-			ev.Miss = true
-			if !warm {
+			} else {
 				res.Misses[r.Tenant]++
-			}
-			if len(cache) >= cfg.K {
-				victim := p.Victim(step, r)
-				owner, ok := cache[victim]
-				if !ok {
-					return Result{}, fmt.Errorf("sim: policy %s returned victim %d not in cache at step %d", p.Name(), victim, step)
-				}
-				delete(cache, victim)
-				if !warm {
+				if owner >= 0 {
 					res.Evictions[owner]++
 				}
-				p.OnEvict(step, victim)
-				ev.Evicted = victim
-				ev.EvictedTenant = owner
 			}
-			cache[r.Page] = r.Tenant
-			p.OnInsert(step, r)
 		}
 		if cfg.Observer != nil {
-			cfg.Observer(ev)
+			cfg.Observer(Event{Step: step, Req: r, Miss: !hit, Evicted: victim, EvictedTenant: owner, Warmup: warm})
 		}
 	}
 	if cfg.Progress != nil && tr.Len() > reported {
 		cfg.Progress(tr.Len() - reported)
 	}
 	return res, nil
+}
+
+// MapCache is the map engine's step: cache membership in a map, driven
+// through the Policy protocol — a hit calls OnHit; a miss asks Victim when
+// the cache is full, checks the victim is resident, then calls OnEvict and
+// OnInsert. It is the one copy of that protocol: the map engine, the
+// interactive engine and every caller that drives a Policy one request at a
+// time outside sim.Run (the checkpointed job runner, the live service's
+// baseline policies) step through it.
+type MapCache struct {
+	p        Policy
+	k        int
+	resident map[trace.PageID]trace.Tenant
+}
+
+// NewMapCache returns an empty k-page cache driving p.
+func NewMapCache(p Policy, k int) *MapCache {
+	return &MapCache{p: p, k: k, resident: make(map[trace.PageID]trace.Tenant, k)}
+}
+
+// Access serves request r at step. It reports whether r hit and, when the
+// miss evicted a page, the victim and its owner (-1 and -1 otherwise). An
+// error means the policy nominated a page that is not cached; the cache is
+// then unchanged and the request unserved.
+func (c *MapCache) Access(step int, r trace.Request) (hit bool, victim trace.PageID, owner trace.Tenant, err error) {
+	if _, ok := c.resident[r.Page]; ok {
+		c.p.OnHit(step, r)
+		return true, -1, -1, nil
+	}
+	victim, owner = -1, -1
+	if len(c.resident) >= c.k {
+		v := c.p.Victim(step, r)
+		o, ok := c.resident[v]
+		if !ok {
+			return false, -1, -1, fmt.Errorf("sim: policy %s returned victim %d not in cache at step %d", c.p.Name(), v, step)
+		}
+		delete(c.resident, v)
+		c.p.OnEvict(step, v)
+		victim, owner = v, o
+	}
+	c.resident[r.Page] = r.Tenant
+	c.p.OnInsert(step, r)
+	return false, victim, owner, nil
+}
+
+// Seed marks page p cached for tenant t without consulting the policy: the
+// cache side of resuming a run whose policy state was restored from a
+// checkpoint.
+func (c *MapCache) Seed(p trace.PageID, t trace.Tenant) { c.resident[p] = t }
+
+// Contains reports whether page p is cached.
+func (c *MapCache) Contains(p trace.PageID) bool { _, ok := c.resident[p]; return ok }
+
+// Len returns the number of cached pages.
+func (c *MapCache) Len() int { return len(c.resident) }
+
+// Pages returns the cached pages in ascending id order.
+func (c *MapCache) Pages() []trace.PageID {
+	out := make([]trace.PageID, 0, len(c.resident))
+	for p := range c.resident {
+		out = append(out, p)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // MustRun is Run that panics on error; for tests and examples with
