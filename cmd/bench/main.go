@@ -452,7 +452,45 @@ func liveSuite() []Result {
 	res := toResult(name, r)
 	res.ReqPerSec = float64(tr.Len()*r.N) / r.T.Seconds()
 	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
-	return []Result{res}
+	return []Result{res, verifyBench(reqs, tenants, costs)}
+}
+
+// verifyBench times one clean Verify of a 2-shard service that served reqs
+// once, outside the timer, with a small-segment WAL, so each replay reads
+// sealed segments and the in-memory tail. req/s counts logged requests.
+func verifyBench(reqs []cached.Request, tenants int, costs []costfn.Func) Result {
+	const name = "live/verify/n=2/k=4096"
+	dir, err := os.MkdirTemp("", "bench-verify-")
+	if err != nil {
+		fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	svc, err := cached.New(cached.Config{
+		K: 4096, Shards: 2, Tenants: tenants,
+		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+		WAL:       &cached.WALConfig{Dir: dir, Fsync: cached.FsyncOff, SegmentBytes: 256 << 10, CheckpointEvery: -1},
+	})
+	if err != nil {
+		fatal(err)
+	}
+	for lo := 0; lo < len(reqs); lo += 512 {
+		if _, err := svc.Apply(reqs[lo:min(lo+512, len(reqs))]); err != nil {
+			fatal(err)
+		}
+	}
+	svc.Close()
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if rep, err := svc.Verify(context.Background()); err != nil || !rep.Clean {
+				b.Fatalf("verify: %v %+v", err, rep)
+			}
+		}
+	})
+	res := toResult(name, r)
+	res.ReqPerSec = float64(len(reqs)*r.N) / r.T.Seconds()
+	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d B/op\n", name, res.ReqPerSec, res.BytesPerOp)
+	return res
 }
 
 // experimentSuite benchmarks each experiment table end to end in quick mode,

@@ -18,8 +18,8 @@
 // -mrc enables the estimator alone under a classic policy. On SIGINT/SIGTERM
 // the server drains
 // in-flight requests, freezes the shards, and — with -verify-on-shutdown
-// (default true) — replays the merged request log through the simulator and
-// exits nonzero on any per-tenant counter divergence: a crash-free exit is a
+// (default true) — replays every shard's request log through the simulator
+// and exits nonzero on any per-tenant counter divergence: a crash-free exit is a
 // correctness certificate for the whole serving session.
 //
 //	cached drive -target http://127.0.0.1:8090 -requests 500000 \

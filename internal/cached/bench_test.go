@@ -1,6 +1,7 @@
 package cached
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -32,17 +33,18 @@ func benchRequests(b *testing.B, tenants, pages, length int) []Request {
 	return reqs
 }
 
-func benchService(b *testing.B) func() *Service {
-	b.Helper()
-	costs := []costfn.Func{
+// benchPolicy is ALG with the four benchmark tenants' convex costs.
+func benchPolicy() sim.Policy {
+	return core.NewFast(core.Options{Costs: []costfn.Func{
 		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 2},
 		costfn.Monomial{C: 1, Beta: 2}, costfn.Linear{W: 4},
-	}
+	}})
+}
+
+func benchService(b *testing.B) func() *Service {
+	b.Helper()
 	return func() *Service {
-		svc, err := New(Config{
-			K: 4096, Shards: 1, Tenants: 4,
-			NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
-		})
+		svc, err := New(Config{K: 4096, Shards: 1, Tenants: 4, NewPolicy: benchPolicy})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,4 +69,38 @@ func BenchmarkApplyDense(b *testing.B) {
 		svc.Close()
 	}
 	b.SetBytes(int64(len(reqs)))
+}
+
+// BenchmarkVerify is one live-vs-replay differential over a closed 2-shard
+// service whose log spans sealed WAL segments and the in-memory tail. The
+// stream is applied once, outside the timer; one op is one Verify.
+func BenchmarkVerify(b *testing.B) {
+	reqs := benchRequests(b, 4, 4096, 200_000)
+	svc, err := New(Config{
+		K: 4096, Shards: 2, Tenants: 4,
+		NewPolicy: benchPolicy,
+		WAL:       &WALConfig{Dir: b.TempDir(), Fsync: FsyncOff, SegmentBytes: 256 << 10, CheckpointEvery: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < len(reqs); lo += 512 {
+		if _, err := svc.Apply(reqs[lo:min(lo+512, len(reqs))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := svc.Verify(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Clean {
+			b.Fatalf("verify diverged: %v", rep.Diffs)
+		}
+	}
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }

@@ -12,14 +12,14 @@
 //
 // The service is differentially checkable against the simulator: every shard
 // logs the requests it admitted (in processing order, stamped with a global
-// sequence number), and Verify replays the merged log through sim.Run (one
-// shard) or sim.BuildShardsBy + ShardPlan.Run (N shards, with the live
-// router's exact page partition) and diffs the per-tenant hit/miss/eviction
-// counters bit for bit. Because the convex objective Σ f_i(misses_i) is
-// separable per tenant and every page lives on exactly one shard, the live
-// partitioned cache and the offline partitioned replay must agree exactly —
-// any divergence is a bug, not noise. See DESIGN.md §6h for the full
-// correctness argument.
+// sequence number), and Verify replays each shard's log on a fresh engine of
+// the shard's kind — the batched dense engine for ALG, at the shard's
+// capacity share — one goroutine per shard, sums the per-tenant
+// hit/miss/eviction counters and diffs them bit for bit. Because the convex
+// objective Σ f_i(misses_i) is separable per tenant and every page lives on
+// exactly one shard, the live partitioned cache and the offline per-shard
+// replay must agree exactly — any divergence is a bug, not noise. See
+// DESIGN.md §6h and §6m for the full correctness argument.
 package cached
 
 import (
@@ -85,9 +85,9 @@ type Config struct {
 	Tenants int
 	// NewPolicy builds a fresh eviction-policy instance. Instances must be
 	// deterministic and mutually independent: each shard gets one at
-	// startup, and Verify builds fresh ones for the offline replay. With
-	// Shards > 1 the policy must support the dense engine
-	// (sim.DensePolicy), because the replay runs sharded.
+	// startup, and Verify builds a fresh one per shard for its concurrent
+	// replays. With Shards > 1 the policy must support the dense engine
+	// (sim.DensePolicy), on which Verify replays each shard's log.
 	NewPolicy func() sim.Policy
 	// MailboxDepth is the per-shard channel buffer; <= 0 selects 64.
 	MailboxDepth int
@@ -133,7 +133,8 @@ type Service struct {
 	// policyName labels verify reports in classic mode.
 	policyName string
 	// seq stamps every admitted request with a globally unique, per-shard
-	// monotone sequence number; Verify merges the shard logs by it.
+	// monotone sequence number; Verify checks that it strictly increases
+	// along each shard's log.
 	seq atomic.Int64
 
 	// mu guards closed against concurrent Apply/Verify/Close; shard state
@@ -357,15 +358,6 @@ func (s *Service) route(t trace.Tenant, key []byte) int {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return int(h % uint64(len(s.shards)))
-}
-
-// shardOfPage is the replay-side routing function: shard s assigns page ids
-// from the residue class {s, s+n, s+2n, ...}, so the owning shard of any
-// logged page is recoverable as page mod n. Verify hands this to
-// sim.BuildShardsBy so the offline partition reproduces the live one
-// exactly.
-func (s *Service) shardOfPage(p trace.PageID) int {
-	return int(p) % len(s.shards)
 }
 
 // Apply serves a batch of requests and returns one result byte per request

@@ -435,10 +435,10 @@ func (sh *shard) handle(m shardMsg) {
 	} else {
 		// One atomic draw reserves the whole batch's sequence numbers: this
 		// single-writer loop applies the batch in order, so consecutive seqs
-		// preserve the per-shard monotonicity the log merge relies on, and
-		// the lock-prefixed add leaves the per-request path. Seqs reserved
-		// for requests a mid-batch shard failure rejects are never logged;
-		// the merge only needs strict increase, not contiguity.
+		// keep the per-shard strict increase Verify checks, and the
+		// lock-prefixed add leaves the per-request path. Seqs reserved for
+		// requests a mid-batch shard failure rejects are never logged; the
+		// log needs strict increase, not contiguity.
 		seq := sh.svc.seq.Add(int64(len(m.idxs))) - int64(len(m.idxs))
 		for i, ix := range m.idxs {
 			cur.pos = i

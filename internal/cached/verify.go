@@ -2,8 +2,10 @@ package cached
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path"
+	"sync"
 	"time"
 
 	"convexcache/internal/sim"
@@ -23,32 +25,37 @@ type Counters struct {
 	TotalEvictions int64 `json:"total_evictions"`
 }
 
-// VerifyReport is the outcome of one live-vs-replay differential: the merged
-// request log replayed offline against the live counters. Clean means every
-// per-tenant counter matched exactly; Diffs lists each mismatch.
+// VerifyReport is the outcome of one live-vs-replay differential: every
+// shard's request log replayed offline against the live counters. Clean
+// means every per-tenant counter matched exactly; Diffs lists each mismatch.
 type VerifyReport struct {
-	Policy    string        `json:"policy"`
-	K         int           `json:"k"`
-	Shards    int           `json:"shards"`
-	Requests  int           `json:"requests"`
-	Live      Counters      `json:"live"`
-	Replay    Counters      `json:"replay"`
-	Diffs     []string      `json:"diffs,omitempty"`
-	Clean     bool          `json:"clean"`
+	Policy   string   `json:"policy"`
+	K        int      `json:"k"`
+	Shards   int      `json:"shards"`
+	Requests int      `json:"requests"`
+	Live     Counters `json:"live"`
+	Replay   Counters `json:"replay"`
+	Diffs    []string `json:"diffs,omitempty"`
+	Clean    bool     `json:"clean"`
+	// ReplayDur is the wall time from the snapshots to the summed replay
+	// counters: streaming every shard's log, the per-entry checks and the
+	// replay engines, in every mode.
 	ReplayDur time.Duration `json:"replay_ns"`
 }
 
 // Verify snapshots every shard (on a batch boundary — safe under live
-// traffic), merges the per-shard request logs by global sequence number into
-// one trace, replays it offline and diffs the per-tenant counters exactly.
+// traffic), replays each shard's complete log — its sealed WAL segments,
+// then the in-memory tail — through a fresh engine of the shard's own
+// kind, one goroutine per shard, and diffs the summed per-tenant counters
+// exactly against the live ones.
 //
-// The replay uses the same partitioned model as the live service: with one
-// shard it is sim.Run on the merged log; with n shards it is a
-// sim.BuildShardsBy plan routed by page mod n — precisely the partition the
-// live shards produced, since shard s only ever assigns page ids ≡ s (mod
-// n). Any nonzero diff is a bug in the live path (or the simulator), never
-// an artifact of concurrency: per-shard logs are the ground truth of what
-// each single-writer engine saw, in order.
+// No global order is rebuilt, because the model needs none: shard s only
+// ever assigns page ids ≡ s (mod n) and serves them at capacity
+// sim.ShardShare(k, n, s), so its log is an independent sub-history, and
+// the objective Σ f_i(misses_i) is separable per tenant, so per-shard
+// counters add up exactly. Any nonzero diff is a bug in the live path (or
+// the simulator), never an artifact of concurrency: per-shard logs are the
+// ground truth of what each single-writer engine saw, in order.
 func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	snaps := s.snapshotAll(true, false)
 	for _, snap := range snaps {
@@ -56,124 +63,191 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 			return nil, fmt.Errorf("cached: shard %d failed, log unreliable: %w", snap.Shard, snap.Err)
 		}
 	}
-	n := len(s.shards)
+	start := time.Now()
+	replays := make([]*ShardSnapshot, len(snaps))
+	errs := make([]error, len(snaps))
+	var wg sync.WaitGroup
+	for i, snap := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A replay runs off the caller's goroutine, so its panic must
+			// come back as an error, not take the serving process down.
+			defer func() {
+				if p := recover(); p != nil {
+					errs[i] = fmt.Errorf("cached: shard %d: replay panicked: %v", snap.Shard, p)
+				}
+			}()
+			replays[i], errs[i] = s.replayShard(ctx, snap)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	tenants := s.cfg.Tenants
 	rep := &VerifyReport{
 		Policy: s.policyName,
 		K:      s.cfg.K,
-		Shards: n,
-	}
-	rep.Live = liveCounters(snaps, s.cfg.Tenants)
-	if s.cfg.Quotas != nil {
-		return s.verifyPartition(ctx, snaps, rep)
-	}
-
-	merged, err := s.mergeFullLogs(ctx, snaps)
-	if err != nil {
-		return nil, err
-	}
-	rep.Requests = len(merged)
-	if len(merged) == 0 {
-		rep.Replay = emptyCounters(s.cfg.Tenants)
-		rep.Clean = true
-		return rep, nil
-	}
-
-	b := trace.NewBuilder()
-	for _, e := range merged {
-		b.Add(e.Tenant, e.Page)
-	}
-	tr, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("cached: rebuilding trace from request log: %w", err)
-	}
-
-	start := time.Now()
-	var res sim.Result
-	if n == 1 {
-		res, err = sim.RunContext(ctx, tr, s.cfg.NewPolicy(), sim.Config{K: s.cfg.K})
-	} else {
-		var pl *sim.ShardPlan
-		pl, err = sim.BuildShardsBy(tr, n, s.shardOfPage)
-		if err == nil {
-			res, err = pl.Run(ctx, s.cfg.NewPolicy, sim.Config{K: s.cfg.K, Engine: sim.EngineDense}, n)
-		}
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("cached: verify aborted: %w", ctx.Err())
-		}
-		return nil, fmt.Errorf("cached: replaying request log: %w", err)
+		Shards: len(snaps),
+		Live:   sumCounters(snaps, tenants),
+		Replay: sumCounters(replays, tenants),
 	}
 	rep.ReplayDur = time.Since(start)
-
-	rep.Replay = replayCounters(merged, res, s.cfg.Tenants)
-	rep.Diffs = diffCounters(rep.Live, rep.Replay, s.cfg.Tenants)
+	rep.Requests = int(rep.Replay.TotalHits + rep.Replay.TotalMisses)
+	rep.Diffs = diffCounters(rep.Live, rep.Replay, tenants)
 	rep.Clean = len(rep.Diffs) == 0
 	return rep, nil
 }
 
-// verifyPartition is the partition-mode differential: every page lives on
-// exactly one shard and every tenant's quota is served per shard, so each
-// shard's log replays independently through a fresh quotaLRU — the same
-// deterministic engine the live loop ran, including quota-change control
-// entries re-applied at their logged positions. The replay must reproduce
-// the live counters bit for bit; no cross-shard merge is needed (the merge
-// would only interleave independent sub-histories).
-func (s *Service) verifyPartition(ctx context.Context, snaps []*ShardSnapshot, rep *VerifyReport) (*VerifyReport, error) {
-	start := time.Now()
-	replay := emptyCounters(s.cfg.Tenants)
-	n := len(s.shards)
-	for _, snap := range snaps {
-		q := newQuotaLRU(localQuotas(s.cfg.Quotas, n, snap.Shard), n, snap.Shard)
-		lastSeq := int64(-1)
-		i := 0
-		step := func(e LogEntry) error {
-			if i%65536 == 0 && ctx.Err() != nil {
-				return fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+// replayShard replays one shard's complete log and returns the per-tenant
+// counters it reproduces, in snapshot form. One pass checks every entry —
+// sequence numbers strictly increasing, the page in the shard's residue
+// class, the tenant in range, one owner per page — and feeds the engine
+// the live shard ran: quotaLRU in partition mode (quota control entries
+// re-applied at their logged positions), the batched dense engine for a
+// sim.DensePolicy (over a trace.Dense view of the log), and sim's map step
+// for any other policy (which New allows only with one shard), the latter
+// two at the shard's capacity share. The context is checked on entry, per
+// sealed segment and every 65,536 entries, and by the dense engine as it
+// runs.
+func (s *Service) replayShard(ctx context.Context, snap *ShardSnapshot) (*ShardSnapshot, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("cached: verify aborted: %w", err)
+	}
+	id, n, tenants := snap.Shard, len(s.shards), s.cfg.Tenants
+	k := sim.ShardShare(s.cfg.K, n, id)
+	r := &ShardSnapshot{Shard: id, Hits: make([]int64, tenants),
+		Misses: make([]int64, tenants), Evictions: make([]int64, tenants)}
+	entries := snap.LogStart + len(snap.Log)
+	var (
+		q     *quotaLRU
+		dense sim.DensePolicy
+		mc    *sim.MapCache
+	)
+	if s.cfg.Quotas != nil {
+		q = newQuotaLRU(localQuotas(s.cfg.Quotas, n, id), n, id)
+	} else {
+		p := s.cfg.NewPolicy()
+		if dp, ok := p.(sim.DensePolicy); ok {
+			dense = dp
+		} else {
+			mc = sim.NewMapCache(p, k)
+		}
+	}
+	// d is the shard's log as a dense view indexed by residue-class slot
+	// (page−id)/n, the record index the live core.Open uses; Owners[slot]
+	// is -1 until the slot's page first appears. The shard's interned-page
+	// count sizes the tables; requests are only collected when the dense
+	// engine replays them.
+	d := &trace.Dense{
+		Pages:   make([]trace.PageID, 0, snap.Pages),
+		Owners:  make([]trace.Tenant, 0, snap.Pages),
+		Tenants: tenants,
+	}
+	if dense != nil {
+		d.Reqs = make([]int32, 0, entries)
+	}
+	lastSeq := int64(-1)
+	next := 0 // index of the next log entry
+	step := func(e LogEntry) error {
+		i := next
+		next++
+		if i%65536 == 0 && ctx.Err() != nil {
+			return fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+		}
+		if e.Seq <= lastSeq {
+			return fmt.Errorf("cached: shard %d log entry %d: seq %d not increasing (prev %d)", id, i, e.Seq, lastSeq)
+		}
+		lastSeq = e.Seq
+		if e.Quotas != nil {
+			if q == nil {
+				return fmt.Errorf("cached: shard %d log entry %d: quota control entry outside partition mode", id, i)
 			}
-			if e.Seq <= lastSeq {
-				return fmt.Errorf("cached: shard %d log entry %d: seq %d not increasing (prev %d)",
-					snap.Shard, i, e.Seq, lastSeq)
-			}
-			lastSeq = e.Seq
-			i++
-			if e.Quotas != nil {
-				for t, ev := range q.SetQuotas(localQuotas(e.Quotas, n, snap.Shard)) {
-					replay.Evictions[t] += int64(ev)
-				}
-				return nil
-			}
-			rep.Requests++
-			replay.Requests[e.Tenant]++
-			hit, evicted := q.Access(e.Tenant, e.Page)
-			if hit {
-				replay.Hits[e.Tenant]++
-			} else {
-				replay.Misses[e.Tenant]++
-			}
-			if evicted {
-				replay.Evictions[e.Tenant]++
+			for t, ev := range q.SetQuotas(localQuotas(e.Quotas, n, id)) {
+				r.Evictions[t] += int64(ev)
 			}
 			return nil
 		}
-		// Sealed WAL segments stream from disk (they are immutable once
-		// rotated, so this is safe under live traffic), then the in-memory
-		// tail — together the shard's complete history.
-		if err := s.sealedEntries(ctx, snap, step); err != nil {
+		if e.Tenant < 0 || int(e.Tenant) >= tenants {
+			return fmt.Errorf("cached: shard %d log entry %d: tenant %d out of range [0,%d)", id, i, e.Tenant, tenants)
+		}
+		slot := int(e.Page) / n
+		if e.Page < 0 || int(e.Page)-slot*n != id {
+			return fmt.Errorf("cached: shard %d log entry %d: page %d outside residue class %d mod %d", id, i, e.Page, id, n)
+		}
+		// Slots are assigned in order as pages are first interned, so every
+		// slot is below the log's entry count; a larger one is corruption
+		// and must not size the tables.
+		if slot >= entries {
+			return fmt.Errorf("cached: shard %d log entry %d: page %d has slot %d past the log's %d entries", id, i, e.Page, slot, entries)
+		}
+		for j := len(d.Owners); j <= slot; j++ {
+			d.Pages = append(d.Pages, trace.PageID(id+j*n))
+			d.Owners = append(d.Owners, -1)
+		}
+		switch owner := d.Owners[slot]; {
+		case owner < 0:
+			d.Owners[slot] = e.Tenant
+		case owner != e.Tenant:
+			return fmt.Errorf("cached: shard %d log entry %d: page %d of tenant %d requested by tenant %d", id, i, e.Page, owner, e.Tenant)
+		}
+		switch {
+		case dense != nil:
+			// Hits holds the tenant's requests until the engine's misses
+			// are subtracted below.
+			r.Hits[e.Tenant]++
+			d.Reqs = append(d.Reqs, int32(slot))
+		case q != nil:
+			hit, evicted := q.Access(e.Tenant, e.Page)
+			r.count(e.Tenant, hit, evicted, e.Tenant)
+		default:
+			hit, _, owner, err := mc.Access(i, trace.Request{Page: e.Page, Tenant: e.Tenant})
+			if err != nil {
+				return fmt.Errorf("cached: shard %d: replaying request log: %w", id, err)
+			}
+			r.count(e.Tenant, hit, owner >= 0, owner)
+		}
+		return nil
+	}
+	// Sealed WAL segments stream from disk (they are immutable once
+	// rotated, so this is safe under live traffic), then the in-memory
+	// tail — together the shard's complete history.
+	if err := s.sealedEntries(ctx, snap, step); err != nil {
+		return nil, err
+	}
+	for _, e := range snap.Log {
+		if err := step(e); err != nil {
 			return nil, err
 		}
-		for _, e := range snap.Log {
-			if err := step(e); err != nil {
-				return nil, err
-			}
-		}
 	}
-	replay.total()
-	rep.ReplayDur = time.Since(start)
-	rep.Replay = replay
-	rep.Diffs = diffCounters(rep.Live, replay, s.cfg.Tenants)
-	rep.Clean = len(rep.Diffs) == 0
-	return rep, nil
+	if dense != nil {
+		res, err := sim.RunDense(ctx, d, dense, sim.Config{K: k})
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+			}
+			return nil, fmt.Errorf("cached: shard %d: replaying request log: %w", id, err)
+		}
+		for t := range r.Hits {
+			r.Hits[t] -= res.Misses[t]
+		}
+		r.Misses, r.Evictions = res.Misses, res.Evictions
+	}
+	return r, nil
+}
+
+// count records one replayed request of tenant t: a hit, or a miss that
+// evicted one of owner's pages when evicted is set.
+func (r *ShardSnapshot) count(t trace.Tenant, hit, evicted bool, owner trace.Tenant) {
+	if hit {
+		r.Hits[t]++
+		return
+	}
+	r.Misses[t]++
+	if evicted {
+		r.Evictions[owner]++
+	}
 }
 
 // sealedEntries streams the sealed (pre-tail) portion of one shard's log
@@ -222,67 +296,15 @@ func (s *Service) sealedEntries(ctx context.Context, snap *ShardSnapshot, fn fun
 	return nil
 }
 
-// mergeFullLogs reconstructs every shard's complete log (sealed prefix from
-// disk plus in-memory tail) and k-way merges them by sequence number.
-func (s *Service) mergeFullLogs(ctx context.Context, snaps []*ShardSnapshot) ([]LogEntry, error) {
-	full := make([]*ShardSnapshot, len(snaps))
-	for i, snap := range snaps {
-		if snap.LogStart == 0 {
-			full[i] = snap
-			continue
-		}
-		entries := make([]LogEntry, 0, snap.LogStart+len(snap.Log))
-		if err := s.sealedEntries(ctx, snap, func(e LogEntry) error {
-			entries = append(entries, e)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		entries = append(entries, snap.Log...)
-		full[i] = &ShardSnapshot{Shard: snap.Shard, Log: entries}
-	}
-	return mergeLogs(full), nil
-}
-
-// mergeLogs k-way-merges the per-shard logs by sequence number. Each shard's
-// log is strictly increasing in Seq (sequence numbers are drawn from the
-// global atomic inside the single-writer loop), so the merge reconstructs a
-// valid global admission order.
-func mergeLogs(snaps []*ShardSnapshot) []LogEntry {
-	total := 0
-	for _, snap := range snaps {
-		total += len(snap.Log)
-	}
-	merged := make([]LogEntry, 0, total)
-	heads := make([]int, len(snaps))
-	for len(merged) < total {
-		best := -1
-		for i, snap := range snaps {
-			if heads[i] >= len(snap.Log) {
-				continue
-			}
-			if best < 0 || snap.Log[heads[i]].Seq < snaps[best].Log[heads[best]].Seq {
-				best = i
-			}
-		}
-		merged = append(merged, snaps[best].Log[heads[best]])
-		heads[best]++
-	}
-	return merged
-}
-
-func emptyCounters(tenants int) Counters {
-	return Counters{
+// sumCounters sums per-shard counters, live or replayed; a tenant's requests
+// are its hits plus its misses.
+func sumCounters(snaps []*ShardSnapshot, tenants int) Counters {
+	c := Counters{
 		Requests:  make([]int64, tenants),
 		Hits:      make([]int64, tenants),
 		Misses:    make([]int64, tenants),
 		Evictions: make([]int64, tenants),
 	}
-}
-
-// liveCounters sums the per-shard snapshots.
-func liveCounters(snaps []*ShardSnapshot, tenants int) Counters {
-	c := emptyCounters(tenants)
 	for _, snap := range snaps {
 		for t := 0; t < tenants; t++ {
 			c.Hits[t] += snap.Hits[t]
@@ -290,27 +312,6 @@ func liveCounters(snaps []*ShardSnapshot, tenants int) Counters {
 			c.Evictions[t] += snap.Evictions[t]
 			c.Requests[t] += snap.Hits[t] + snap.Misses[t]
 		}
-	}
-	c.total()
-	return c
-}
-
-// replayCounters shapes a sim.Result into Counters. The simulator reports
-// per-tenant misses and evictions plus total hits; per-tenant hits follow as
-// requests − misses. Result slices are sized by the log's tenant universe,
-// which may be narrower than the configured one if some tenants never sent
-// a request — the tail stays zero.
-func replayCounters(merged []LogEntry, res sim.Result, tenants int) Counters {
-	c := emptyCounters(tenants)
-	for _, e := range merged {
-		c.Requests[e.Tenant]++
-	}
-	for t, m := range res.Misses {
-		c.Misses[t] = m
-		c.Hits[t] = c.Requests[t] - m
-	}
-	for t, ev := range res.Evictions {
-		c.Evictions[t] = ev
 	}
 	c.total()
 	return c

@@ -3,7 +3,6 @@ package cached
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -608,16 +607,4 @@ func TestPanicIsolation(t *testing.T) {
 		t.Errorf("post-rebuild recovery diverges:\n got %+v\nwant %+v", got, before)
 	}
 	requireClean(t, svc2)
-}
-
-// TestVerifyTimeout pins that Verify honors context cancellation with a
-// recognizable error.
-func TestVerifyTimeout(t *testing.T) {
-	svc := newTestService(t, 64, 2, 2)
-	applyAll(t, svc, genRequests(2, 2, 200, 20_000), 1024)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := svc.Verify(ctx); err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("verify with canceled context: %v", err)
-	}
 }

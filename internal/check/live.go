@@ -21,9 +21,9 @@ import (
 // checks two promises:
 //
 //  1. Verify is clean at every count: the per-tenant hit/miss/eviction
-//     counters the live shards accumulated match an offline replay of the
-//     merged request log exactly (sim.Run at n = 1, the BuildShardsBy
-//     partitioned replay at n > 1).
+//     counters the live shards accumulated match an offline replay of
+//     every shard's request log exactly, each on an engine of the shard's
+//     kind (the batched dense engine for ALG) at its capacity share.
 //  2. Degeneracy: at n = 1 the live counters equal a direct sequential
 //     sim.Run of tr on the dense engine — the live service with one shard
 //     is the simulator, fed over a wire.

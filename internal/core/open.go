@@ -15,7 +15,7 @@ var inf = math.Inf(1)
 // incrementally. It exists for the live cache service, whose shards learn
 // their pages from client keys as they arrive — no trace, no pre-built
 // trace.Dense — but must stay bit-exact with a closed-world replay of their
-// merged logs (the /v1/cache/verify contract).
+// logs (the /v1/cache/verify contract).
 //
 // Pages are identified by residue-class ids: shard s of n owns exactly the
 // ids ≡ s (mod n), which is what the cached interner assigns, so the slot

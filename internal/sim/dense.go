@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"convexcache/internal/trace"
 )
@@ -50,6 +51,22 @@ type DensePolicy interface {
 	// not be updated. A non-nil error aborts the run (an internal invariant
 	// broke, e.g. no victim available).
 	StepBatch(base int, pages []int32, bc *BatchCounters, warm bool) error
+}
+
+// RunDense replays a caller-built dense view on the batched engine: one
+// shard's request subsequence (ShardPlan) or one live shard's request log
+// (the cache service's Verify). Like RunContext it checks ctx before the
+// first request, then every CheckEverySteps; observers are not supported.
+// A policy that declines the view is an error.
+func RunDense(ctx context.Context, d *trace.Dense, p DensePolicy, cfg Config) (Result, error) {
+	if ctx.Err() != nil {
+		return Result{}, cancelErr(ctx, 0)
+	}
+	res, handled, err := runDenseView(ctx, d, p, cfg)
+	if err == nil && !handled {
+		err = fmt.Errorf("sim: policy %s declined the dense engine", p.Name())
+	}
+	return res, err
 }
 
 // runDenseView drives the dense engine over a trace view: the whole trace

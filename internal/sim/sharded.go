@@ -62,27 +62,10 @@ type shardSeq struct {
 	steps []int32
 }
 
-// N returns the shard count the plan was built with.
-func (pl *ShardPlan) N() int { return pl.n }
-
-// ShardLen returns the number of requests routed to shard s.
-func (pl *ShardPlan) ShardLen(s int) int { return len(pl.shards[s].reqs) }
-
 // BuildShards partitions tr across n shards by dense page index modulo n.
 // The routing is a pure function of the trace's dense remap (first
 // appearance order), so the same trace always yields the same partition.
 func BuildShards(tr *trace.Trace, n int) (*ShardPlan, error) {
-	return BuildShardsBy(tr, n, nil)
-}
-
-// BuildShardsBy is BuildShards with an explicit routing function over the
-// original PageIDs: page p goes to shard shardOf(p), which must return a
-// value in [0, n). A nil shardOf selects the default dense-index-mod-n
-// partition. Callers that replay the request log of a live hash-routed
-// cache pass the live router's function here, so the offline replay
-// partitions pages exactly the way the serving path did — the precondition
-// for an exact live-vs-replay differential.
-func BuildShardsBy(tr *trace.Trace, n int, shardOf func(trace.PageID) int) (*ShardPlan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: shard count must be positive, got %d", n)
 	}
@@ -90,41 +73,23 @@ func BuildShardsBy(tr *trace.Trace, n int, shardOf func(trace.PageID) int) (*Sha
 		return nil, fmt.Errorf("sim: trace too long to shard (%d steps)", tr.Len())
 	}
 	d := tr.Dense()
-	// Route every distinct page once; the request passes below are table
-	// lookups regardless of how expensive shardOf is.
-	pageShard := make([]int32, d.NumPages())
-	for ix := range pageShard {
-		s := ix % n
-		if shardOf != nil {
-			s = shardOf(d.Pages[ix])
-			if s < 0 || s >= n {
-				return nil, fmt.Errorf("sim: shardOf(%d) = %d out of range [0,%d)", d.Pages[ix], s, n)
-			}
-		}
-		pageShard[ix] = int32(s)
-	}
 	pl := &ShardPlan{d: d, n: n, shards: make([]shardSeq, n)}
 	// Pre-size each shard from a counting pass so the routing pass does not
 	// re-grow n slices.
 	counts := make([]int, n)
 	for _, pg := range d.Reqs {
-		counts[pageShard[pg]]++
+		counts[int(pg)%n]++
 	}
 	for s := range pl.shards {
 		pl.shards[s].reqs = make([]int32, 0, counts[s])
 		pl.shards[s].steps = make([]int32, 0, counts[s])
 	}
 	for step, pg := range d.Reqs {
-		s := pageShard[pg]
+		s := int(pg) % n
 		pl.shards[s].reqs = append(pl.shards[s].reqs, pg)
 		pl.shards[s].steps = append(pl.shards[s].steps, int32(step))
 	}
 	return pl, nil
-}
-
-// kShare returns shard s's capacity share; see ShardShare.
-func (pl *ShardPlan) kShare(k, s int) int {
-	return ShardShare(k, pl.n, s)
 }
 
 // warmupAt returns how many of shard s's requests fall inside the global
@@ -240,19 +205,14 @@ func (pl *ShardPlan) runShard(ctx context.Context, s int, mk func() Policy, cfg 
 		return Result{}, fmt.Errorf("sim: policy %s does not support the dense engine", p.Name())
 	}
 	scfg := Config{
-		K:           pl.kShare(cfg.K, s),
+		K:           ShardShare(cfg.K, pl.n, s),
 		WarmupSteps: pl.warmupAt(s, cfg.WarmupSteps),
 		Progress:    progress,
 	}
-	view := pl.d.Subsequence(pl.shards[s].reqs)
-	res, handled, err := runDenseView(ctx, view, dp, scfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if !handled {
-		return Result{}, fmt.Errorf("sim: policy %s declined the dense engine", p.Name())
-	}
-	return res, nil
+	// The view shares the plan's page and owner tables, so every shard
+	// sees the full page universe under the global dense numbering.
+	view := &trace.Dense{Pages: pl.d.Pages, Owners: pl.d.Owners, Reqs: pl.shards[s].reqs, Tenants: pl.d.Tenants}
+	return RunDense(ctx, view, dp, scfg)
 }
 
 // RunSharded partitions tr across n shards and replays them on n concurrent

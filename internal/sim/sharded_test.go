@@ -204,83 +204,6 @@ func shardedTrace(t *testing.T, length int) *trace.Trace {
 	return tr
 }
 
-// TestBuildShardsByCustomRouting checks the explicit-routing plan builder:
-// a custom partition must be honored exactly (every request lands on the
-// shard its page routes to), nil routing must reproduce BuildShards, and
-// out-of-range routing is rejected up front.
-func TestBuildShardsByCustomRouting(t *testing.T) {
-	tr := shardedTrace(t, 4000)
-	mk := fastFactory(tr.NumTenants())
-	ctx := context.Background()
-	const n = 4
-
-	// A deliberately non-modular routing function (bit-mixed hash), the
-	// shape a live hash-routed cache uses.
-	hash := func(p trace.PageID) int {
-		x := uint64(p) * 0x9e3779b97f4a7c15
-		x ^= x >> 29
-		return int(x % n)
-	}
-	pl, err := sim.BuildShardsBy(tr, n, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for s := 0; s < n; s++ {
-		total += pl.ShardLen(s)
-	}
-	if total != tr.Len() {
-		t.Fatalf("routed %d requests, want %d", total, tr.Len())
-	}
-
-	// The merged accounting is deterministic across worker counts and
-	// conserves hits+misses, exactly like the default partition.
-	a, err := pl.Run(ctx, mk, sim.Config{K: 64}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pl.Run(ctx, mk, sim.Config{K: 64}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "custom routing, 1 vs n workers", a, b)
-	if got := a.Hits + a.TotalMisses(); got != int64(tr.Len()) {
-		t.Fatalf("hits+misses = %d, want %d", got, tr.Len())
-	}
-
-	// nil routing must be the default dense-mod-n partition.
-	byNil, err := sim.BuildShardsBy(tr, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byDefault, err := sim.BuildShards(tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 3; s++ {
-		if byNil.ShardLen(s) != byDefault.ShardLen(s) {
-			t.Fatalf("shard %d: nil routing len %d != default len %d", s, byNil.ShardLen(s), byDefault.ShardLen(s))
-		}
-	}
-	rNil, err := byNil.Run(ctx, mk, sim.Config{K: 64}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rDef, err := byDefault.Run(ctx, mk, sim.Config{K: 64}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "nil routing vs BuildShards", rNil, rDef)
-
-	// Routing outside [0, n) is a construction-time error.
-	if _, err := sim.BuildShardsBy(tr, 2, func(trace.PageID) int { return 2 }); err == nil {
-		t.Fatal("out-of-range routing accepted")
-	}
-	if _, err := sim.BuildShardsBy(tr, 2, func(trace.PageID) int { return -1 }); err == nil {
-		t.Fatal("negative routing accepted")
-	}
-}
-
 // TestShardShare checks the capacity split sums to k and spreads the
 // remainder over the lowest-numbered shards.
 func TestShardShare(t *testing.T) {

@@ -6,6 +6,9 @@ package trace
 // instead of hash maps. The remap is computed once per trace and cached on
 // the Trace, so repeated runs (sweeps, benchmarks, experiment tables) pay
 // for it only once.
+//
+// A caller may also build a Dense directly (sim.RunDense replays one); on
+// such a view IndexOf returns -1 for every page, and no replay path reads it.
 type Dense struct {
 	// Pages maps dense index -> original PageID, in first-appearance order.
 	Pages []PageID
@@ -71,22 +74,4 @@ func buildDense(t *Trace) *Dense {
 		d.Reqs[step] = ix
 	}
 	return d
-}
-
-// Subsequence returns a view over the same dense remap whose request
-// sequence is reqs (dense indices into this view's Pages). The page table,
-// owner table and index are shared with the receiver, so per-page state
-// sized by NumPages is interchangeable between the views; only the request
-// sequence differs. This is how the sharded replay runner hands each worker
-// its page-partition of one trace without re-remapping: every shard sees
-// the full page universe under the global dense numbering and a disjoint
-// subsequence of the requests.
-func (d *Dense) Subsequence(reqs []int32) *Dense {
-	return &Dense{
-		Pages:   d.Pages,
-		Owners:  d.Owners,
-		Reqs:    reqs,
-		Tenants: d.Tenants,
-		index:   d.index,
-	}
 }
