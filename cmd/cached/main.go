@@ -43,9 +43,9 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,6 +55,7 @@ import (
 
 	"convexcache/internal/cached"
 	"convexcache/internal/fault"
+	"convexcache/internal/httpapi"
 	"convexcache/internal/mrclive"
 	"convexcache/internal/obs"
 	"convexcache/internal/resilience"
@@ -95,7 +96,7 @@ func runServe(args []string) int {
 		logFormat     = fs.String("log-format", "text", "log format: text or json")
 		shutdownGrace = fs.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		verifyOnExit  = fs.Bool("verify-on-shutdown", true, "replay the request log on shutdown and fail on divergence")
-		maxBody       = fs.Int64("max-body", cached.MaxBodyBytes, "request body cap in bytes")
+		maxBody       = fs.Int64("max-body", httpapi.MaxBodyBytes, "request body cap in bytes")
 		maxConcurrent = fs.Int("max-concurrent", 0, "concurrent cache requests (0 = GOMAXPROCS)")
 		rateRPS       = fs.Float64("rate-rps", 0, "per-client sustained requests/second (0 disables)")
 		rateBurst     = fs.Float64("rate-burst", 0, "per-client burst allowance (0 = 2x rate-rps)")
@@ -125,17 +126,11 @@ func runServe(args []string) int {
 		return 2
 	}
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -log-format %q (want text or json)\n", *logFormat)
+	logger, err := httpapi.NewLogger(*logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	logger := slog.New(handler)
 
 	// Resolve the policy through the run-spec registry so serve and
 	// simulate agree on names, options and cost parsing.
@@ -209,8 +204,16 @@ func runServe(args []string) int {
 		fmt.Fprintln(os.Stderr, "-recover requires -wal")
 		return 2
 	}
+	// Bind before cached.New creates the WAL: a busy port must not leave
+	// segments behind that the next start refuses without -recover.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listener failed", "err", err)
+		return 1
+	}
 	svc, err := cached.New(cfg)
 	if err != nil {
+		ln.Close()
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -238,14 +241,9 @@ func runServe(args []string) int {
 		RateLimit:    resilience.RateLimiterConfig{RPS: *rateRPS, Burst: *rateBurst},
 		Breaker:      resilience.BreakerConfig{FailureThreshold: *breakFails, OpenFor: *breakOpenFor},
 	})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		ErrorLog:          slog.NewLogLogger(handler, slog.LevelWarn),
-	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := httpapi.SignalContext()
 	defer stop()
 
 	// The capacity controller ticker: every period, merge the live curves
@@ -274,35 +272,15 @@ func runServe(args []string) int {
 		}()
 	}
 
-	errCh := make(chan error, 1)
-	go func() {
-		engine := *policyName
-		if *adaptive {
-			engine = "adaptive-partition"
-		}
-		logger.Info("cached listening", "addr", *addr, "k", *k, "shards", *shards,
-			"tenants", *tenants, "policy", engine)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		logger.Error("listener failed", "err", err)
-		return 1
-	case <-ctx.Done():
+	engine := *policyName
+	if *adaptive {
+		engine = "adaptive-partition"
 	}
-	stop()
+	logger.Info("cached listening", "addr", *addr, "k", *k, "shards", *shards,
+		"tenants", *tenants, "policy", engine)
+	code := httpapi.Serve(ctx, srv, ln, *shutdownGrace, logger)
+	stop() // ends the rebalance ticker also when the listener failed
 	rebWG.Wait()
-
-	logger.Info("shutting down, draining in-flight requests", "grace", shutdownGrace.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-	defer cancel()
-	code := 0
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Error("drain incomplete, forcing close", "err", err)
-		_ = srv.Close()
-		code = 1
-	}
 	svc.Close()
 
 	if *verifyOnExit {

@@ -26,19 +26,17 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"convexcache/internal/fault"
+	"convexcache/internal/httpapi"
 	"convexcache/internal/obs"
 	"convexcache/internal/resilience"
 	"convexcache/internal/server"
@@ -58,7 +56,7 @@ func run() int {
 		idleTimeout   = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time")
 		headerTimeout = flag.Duration("read-header-timeout", 10*time.Second, "max duration for reading request headers")
 		shutdownGrace = flag.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
-		maxBody       = flag.Int64("max-body", server.MaxBodyBytes, "request body cap in bytes")
+		maxBody       = flag.Int64("max-body", httpapi.MaxBodyBytes, "request body cap in bytes")
 
 		maxConcurrent = flag.Int("max-concurrent", 0, "concurrent expensive requests (0 = GOMAXPROCS)")
 		queueDepth    = flag.Int("queue-depth", 0, "wait-queue slots behind the concurrency limit (0 = default)")
@@ -74,17 +72,11 @@ func run() int {
 	)
 	flag.Parse()
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -log-format %q (want text or json)\n", *logFormat)
+	logger, err := httpapi.NewLogger(*logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	logger := slog.New(handler)
 
 	reg := obs.NewRegistry()
 	cfg := server.Config{
@@ -117,16 +109,19 @@ func run() int {
 		cfg.Fault = inj.Middleware
 		logger.Warn("fault injection enabled", "spec", *faultSpec)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listener failed", "err", err)
+		return 1
+	}
 	svc := server.NewService(cfg)
 	defer svc.Close()
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: *headerTimeout,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
-		ErrorLog:          slog.NewLogLogger(handler, slog.LevelWarn),
 	}
 
 	// The debug listener is separate from the API listener so pprof is
@@ -148,32 +143,10 @@ func run() int {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := httpapi.SignalContext()
 	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("convexcache API listening", "addr", *addr)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		logger.Error("listener failed", "err", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills the process the default way
-
-	logger.Info("shutting down, draining in-flight requests", "grace", shutdownGrace.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-	defer cancel()
-	code := 0
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Error("drain incomplete, forcing close", "err", err)
-		_ = srv.Close()
-		code = 1
-	}
+	logger.Info("convexcache API listening", "addr", *addr)
+	code := httpapi.Serve(ctx, srv, ln, *shutdownGrace, logger)
 	if debugSrv != nil {
 		_ = debugSrv.Close()
 	}

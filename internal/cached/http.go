@@ -1,50 +1,24 @@
 package cached
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
-	"strconv"
 	"time"
 
-	"convexcache/internal/obs"
+	"convexcache/internal/httpapi"
 	"convexcache/internal/resilience"
 )
 
-// MaxBodyBytes is the default request-body cap of the cache endpoint: large
-// enough for ~100k-line batches, small enough to bound per-request memory.
-const MaxBodyBytes = 16 << 20
-
 // HTTPConfig tunes the HTTP front of the service; the zero value is usable.
-type HTTPConfig struct {
-	// Logger receives the structured request logs; nil selects
-	// slog.Default().
-	Logger *slog.Logger
-	// MaxBodyBytes caps request bodies; <= 0 selects MaxBodyBytes.
-	MaxBodyBytes int64
-	// Limiter tunes the concurrency limiter guarding /v1/cache and
-	// /v1/cache/verify; the zero value selects the package defaults.
-	Limiter resilience.LimiterConfig
-	// RateLimit tunes per-client token buckets; RPS <= 0 disables rate
-	// limiting.
-	RateLimit resilience.RateLimiterConfig
-	// Breaker tunes the per-endpoint circuit breakers; the zero value
-	// selects the package defaults.
-	Breaker resilience.BreakerConfig
-}
+type HTTPConfig = httpapi.Config
 
-// handlerState carries the resilience stack of one Handler instance.
+// handlerState is one Handler instance: the shared admission stack and
+// response writers, in front of the service.
 type handlerState struct {
-	svc      *Service
-	log      *slog.Logger
-	maxBody  int64
-	limiter  *resilience.Limiter
-	rate     *resilience.RateLimiter
-	breakers map[string]*resilience.Breaker
+	*httpapi.API
+	svc *Service
 }
 
 // Handler mounts the service behind the repo's standard HTTP surface:
@@ -54,37 +28,19 @@ type handlerState struct {
 //	POST /v1/cache/verify — live-vs-replay differential; 200 clean, 500 on divergence
 //	GET  /healthz, GET /metrics
 //
-// The cache endpoints sit behind the same admission stack as the simulation
-// server (per-client rate limit → per-endpoint breaker → concurrency
-// limiter), and all HTTP metrics land in the service's registry next to the
-// per-shard counters.
+// The cache endpoints sit behind the same internal/httpapi admission stack
+// as the simulation server (per-client rate limit → per-endpoint breaker →
+// concurrency limiter), and all HTTP metrics land in the service's registry
+// next to the per-shard counters.
 func (s *Service) Handler(cfg HTTPConfig) http.Handler {
-	st := &handlerState{svc: s, log: cfg.Logger, maxBody: cfg.MaxBodyBytes}
-	if st.log == nil {
-		st.log = slog.Default()
-	}
-	if st.maxBody <= 0 {
-		st.maxBody = MaxBodyBytes
-	}
-	st.limiter = resilience.NewLimiter(cfg.Limiter, s.reg)
-	st.rate = resilience.NewRateLimiter(cfg.RateLimit, s.reg)
-	st.breakers = map[string]*resilience.Breaker{
-		"/v1/cache":        resilience.NewBreaker("/v1/cache", cfg.Breaker, s.reg),
-		"/v1/cache/verify": resilience.NewBreaker("/v1/cache/verify", cfg.Breaker, s.reg),
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		st.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.Handle("GET /metrics", s.reg.Handler())
-	mux.HandleFunc("POST /v1/cache", st.protect("/v1/cache", st.handleCache))
+	st := &handlerState{API: httpapi.New(cfg, s.reg), svc: s}
+	mux := st.Mux()
+	mux.HandleFunc("POST /v1/cache", st.Protect("/v1/cache", st.handleCache))
 	mux.HandleFunc("GET /v1/cache/stats", st.handleStats)
-	mux.HandleFunc("POST /v1/cache/verify", st.protect("/v1/cache/verify", st.handleVerify))
+	mux.HandleFunc("POST /v1/cache/verify", st.Protect("/v1/cache/verify", st.handleVerify))
 	mux.HandleFunc("GET /v1/mrc/live", st.handleMRCLive)
 	mux.HandleFunc("POST /v1/cache/rebalance", st.handleRebalance)
-	mw := obs.Middleware{Reg: s.reg, Log: st.log, Route: cacheRouteLabel}
-	return mw.Wrap(mux)
+	return st.Wrap(mux, cacheRouteLabel)
 }
 
 func cacheRouteLabel(r *http.Request) string {
@@ -110,35 +66,37 @@ type CacheResponse struct {
 }
 
 func (st *handlerState) handleCache(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, st.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, st.MaxBody))
 	if err != nil {
-		st.writeError(w, r, http.StatusBadRequest, "bad_request", 0, fmt.Errorf("read request: %w", err))
+		st.WriteError(w, r, http.StatusBadRequest, "bad_request", 0, fmt.Errorf("read request: %w", err))
 		return
 	}
 	reqs, err := ParseBatch(body, st.svc.cfg.Tenants)
 	if err != nil {
-		st.writeError(w, r, http.StatusBadRequest, "bad_request", 0, err)
+		st.WriteError(w, r, http.StatusBadRequest, "bad_request", 0, err)
 		return
 	}
 	if len(reqs) == 0 {
-		st.writeError(w, r, http.StatusBadRequest, "bad_request", 0, errors.New("empty batch"))
+		st.WriteError(w, r, http.StatusBadRequest, "bad_request", 0, errors.New("empty batch"))
 		return
 	}
 	results, err := st.svc.Apply(reqs)
-	if err != nil {
-		status, reason := http.StatusInternalServerError, "internal"
-		var retryAfter time.Duration
-		switch {
-		case errors.Is(err, ErrClosed):
-			status, reason = http.StatusServiceUnavailable, "draining"
-		case errors.Is(err, ErrShardDown):
-			// Degraded mode: only the down shard's keys were shed (those
-			// requests carry 'S' in Results); the batch is safe to retry
-			// after the shard finishes rebuilding.
-			status, reason = http.StatusServiceUnavailable, "shard_down"
-			retryAfter = time.Second
-		}
-		st.writeError(w, r, status, reason, retryAfter, err)
+	switch {
+	case errors.Is(err, ErrShardDown):
+		// Degraded mode: only the down shard's keys were shed (those
+		// requests carry 'S' in Results); the batch is safe to retry after
+		// the shard finishes rebuilding. As a shed it leaves the breaker
+		// alone, so one rebuilding shard cannot open the circuit for
+		// batches on healthy ones.
+		st.ShedError(w, r, &resilience.Shed{
+			Reason: resilience.ReasonShardDown, RetryAfter: time.Second, Detail: err.Error(),
+		})
+		return
+	case errors.Is(err, ErrClosed):
+		st.WriteError(w, r, http.StatusServiceUnavailable, "draining", 0, err)
+		return
+	case err != nil:
+		st.WriteError(w, r, http.StatusInternalServerError, "internal", 0, err)
 		return
 	}
 	resp := CacheResponse{Requests: len(reqs), Results: string(results)}
@@ -152,35 +110,35 @@ func (st *handlerState) handleCache(w http.ResponseWriter, r *http.Request) {
 			resp.Misses++
 		}
 	}
-	st.writeJSON(w, r, http.StatusOK, resp)
+	st.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 func (st *handlerState) handleStats(w http.ResponseWriter, r *http.Request) {
-	st.writeJSON(w, r, http.StatusOK, st.svc.Stats())
+	st.WriteJSON(w, r, http.StatusOK, st.svc.Stats())
 }
 
 func (st *handlerState) handleMRCLive(w http.ResponseWriter, r *http.Request) {
 	live, err := st.svc.MRCLive()
 	if err != nil {
-		st.writeError(w, r, http.StatusNotFound, "mrc_disabled", 0, err)
+		st.WriteError(w, r, http.StatusNotFound, "mrc_disabled", 0, err)
 		return
 	}
-	st.writeJSON(w, r, http.StatusOK, live)
+	st.WriteJSON(w, r, http.StatusOK, live)
 }
 
 func (st *handlerState) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	quotas, changed, err := st.svc.RebalanceOnce()
 	if err != nil {
-		st.writeError(w, r, http.StatusConflict, "rebalance_unavailable", 0, err)
+		st.WriteError(w, r, http.StatusConflict, "rebalance_unavailable", 0, err)
 		return
 	}
-	st.writeJSON(w, r, http.StatusOK, map[string]any{"quotas": quotas, "changed": changed})
+	st.WriteJSON(w, r, http.StatusOK, map[string]any{"quotas": quotas, "changed": changed})
 }
 
 func (st *handlerState) handleVerify(w http.ResponseWriter, r *http.Request) {
 	rep, err := st.svc.Verify(r.Context())
 	if err != nil {
-		st.writeError(w, r, http.StatusInternalServerError, "internal", 0, err)
+		st.WriteError(w, r, http.StatusInternalServerError, "internal", 0, err)
 		return
 	}
 	status := http.StatusOK
@@ -189,121 +147,5 @@ func (st *handlerState) handleVerify(w http.ResponseWriter, r *http.Request) {
 		// `curl -fsS` (and the breaker) treat it as one.
 		status = http.StatusInternalServerError
 	}
-	st.writeJSON(w, r, status, rep)
-}
-
-// protect is the admission stack of the simulation server, applied to the
-// cache endpoints: per-client rate limit (429), per-endpoint breaker (503),
-// concurrency limiter (503). Handler 5xxs count as breaker failures; limiter
-// sheds are Ignored so overload cannot trip a healthy circuit.
-func (st *handlerState) protect(endpoint string, next http.HandlerFunc) http.HandlerFunc {
-	br := st.breakers[endpoint]
-	return func(w http.ResponseWriter, r *http.Request) {
-		if st.rate.Enabled() {
-			if err := st.rate.Allow(clientKey(r)); err != nil {
-				st.shedError(w, r, err)
-				return
-			}
-		}
-		call, err := br.Allow()
-		if err != nil {
-			st.shedError(w, r, err)
-			return
-		}
-		release, err := st.limiter.Acquire(r.Context())
-		if err != nil {
-			call.Record(resilience.Ignored, 0)
-			st.shedError(w, r, err)
-			return
-		}
-		defer release()
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		completed := false
-		defer func() {
-			switch {
-			case !completed || sw.status >= http.StatusInternalServerError:
-				call.Record(resilience.Failure, time.Since(start))
-			default:
-				call.Record(resilience.Success, time.Since(start))
-			}
-		}()
-		next(sw, r)
-		completed = true
-	}
-}
-
-func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-type errorBody struct {
-	Error             string  `json:"error"`
-	Reason            string  `json:"reason,omitempty"`
-	RequestID         string  `json:"request_id,omitempty"`
-	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
-}
-
-func (st *handlerState) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		st.svc.reg.Counter("http_response_encode_errors_total").Inc()
-		obs.LoggerFrom(r.Context(), st.log).Error("encode response", "status", status, "err", err)
-	}
-}
-
-func (st *handlerState) writeError(w http.ResponseWriter, r *http.Request, status int, reason string, retryAfter time.Duration, err error) {
-	body := errorBody{
-		Error:     err.Error(),
-		Reason:    reason,
-		RequestID: obs.RequestIDFrom(r.Context()),
-	}
-	if retryAfter > 0 {
-		secs := int((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		body.RetryAfterSeconds = retryAfter.Seconds()
-	}
-	st.writeJSON(w, r, status, body)
-}
-
-func (st *handlerState) shedError(w http.ResponseWriter, r *http.Request, err error) {
-	var sh *resilience.Shed
-	if !errors.As(err, &sh) {
-		st.writeError(w, r, http.StatusServiceUnavailable, "unavailable", 0, err)
-		return
-	}
-	status := http.StatusServiceUnavailable
-	if sh.Reason == resilience.ReasonRateLimited {
-		status = http.StatusTooManyRequests
-	}
-	st.writeError(w, r, status, sh.Reason, sh.RetryAfter, err)
+	st.WriteJSON(w, r, status, rep)
 }

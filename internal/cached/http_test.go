@@ -2,6 +2,7 @@ package cached
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -156,5 +157,40 @@ func TestHTTPHealthz(t *testing.T) {
 	h := svc.Handler(quietHTTP())
 	if rec := doText(t, h, "GET", "/healthz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("healthz: %d", rec.Code)
+	}
+}
+
+// TestHTTPShardDownLeavesBreakerClosed pins shard_down as a shed, not a
+// failure: a rebuilding shard's 503s must not open the /v1/cache circuit,
+// neither for batches on healthy shards nor for the shard once it is back.
+func TestHTTPShardDownLeavesBreakerClosed(t *testing.T) {
+	svc := newTestService(t, 8, 2, 1)
+	cfg := quietHTTP()
+	cfg.Breaker = resilience.BreakerConfig{FailureThreshold: 3}
+	h := svc.Handler(cfg)
+	keyOn := func(shard int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("k%d", i); svc.route(0, []byte(k)) == shard {
+				return k
+			}
+		}
+	}
+	down, healthy := keyOn(1), keyOn(0)
+	svc.shards[1].down.Store(true)
+	for i := 0; i <= cfg.Breaker.FailureThreshold; i++ {
+		rec := doText(t, h, "POST", "/v1/cache", "GET 0 "+down+"\nGET 0 "+healthy+"\n")
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"reason":"shard_down"`) {
+			t.Fatalf("batch %d on the down shard: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if ra := rec.Header().Get("Retry-After"); ra != "1" {
+			t.Errorf("batch %d: Retry-After = %q, want 1", i, ra)
+		}
+	}
+	if rec := doText(t, h, "POST", "/v1/cache", "GET 0 "+healthy+"\n"); rec.Code != http.StatusOK {
+		t.Fatalf("batch on the healthy shard while the other is down: status %d: %s", rec.Code, rec.Body.String())
+	}
+	svc.shards[1].down.Store(false)
+	if rec := doText(t, h, "POST", "/v1/cache", "GET 0 "+down+"\n"); rec.Code != http.StatusOK {
+		t.Fatalf("batch after the shard came back: status %d: %s", rec.Code, rec.Body.String())
 	}
 }

@@ -1,6 +1,7 @@
 // Package resilience is the overload-protection and fault-tolerance layer
-// of the HTTP service. It supplies four cooperating pieces, all wired
-// through internal/server and cmd/serve:
+// of the HTTP services. It supplies four cooperating pieces; internal/httpapi
+// puts the first three in front of both internal/server and internal/cached,
+// and internal/server runs the fourth:
 //
 //   - Limiter: a server-wide concurrency limiter with a bounded,
 //     deadline-aware FIFO wait queue. Work that would overflow the queue or
@@ -47,6 +48,9 @@ const (
 	ReasonRateLimited = "rate_limited"
 	// ReasonJobStoreFull: the job store has no evictable slot left.
 	ReasonJobStoreFull = "job_store_full"
+	// ReasonShardDown: a live-cache shard is rebuilding after a panic, so
+	// the requests routed to it were shed.
+	ReasonShardDown = "shard_down"
 )
 
 // Shed is the typed rejection returned by every admission stage. It tells

@@ -37,15 +37,14 @@ type JobResultResponse struct {
 }
 
 func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	// Rate-limit before reading the body: an over-limit client must not
+	// make the server read and decode up to MaxBody bytes.
+	if !s.AllowRate(w, r) {
+		return
+	}
 	var req JobRequest
 	if !s.decode(w, r, &req) {
 		return
-	}
-	if s.rate.Enabled() {
-		if err := s.rate.Allow(clientKey(r)); err != nil {
-			s.shedError(w, r, err)
-			return
-		}
 	}
 	// One policy per job; the single-policy default stays here because it
 	// differs from the scenario default pair.
@@ -95,13 +94,13 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var sh *resilience.Shed
 		if errors.As(err, &sh) {
-			s.shedError(w, r, err)
+			s.ShedError(w, r, err)
 			return
 		}
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusAccepted, st)
+	s.WriteJSON(w, r, http.StatusAccepted, st)
 }
 
 // jobID resolves {id} and converts ErrUnknownJob into a 404; every other
@@ -116,7 +115,7 @@ func (s *service) jobCall(w http.ResponseWriter, r *http.Request, call func(id s
 		s.httpError(w, r, http.StatusConflict, err)
 		return
 	}
-	s.writeJSON(w, r, status, st)
+	s.WriteJSON(w, r, status, st)
 }
 
 func (s *service) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -145,7 +144,7 @@ func (s *service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, _ := s.jobs.Status(id)
-	s.writeJSON(w, r, http.StatusOK, JobResultResponse{
+	s.WriteJSON(w, r, http.StatusOK, JobResultResponse{
 		Status: st,
 		Result: PolicyResult{
 			// The requested name, matching /v1/simulate's labels; the

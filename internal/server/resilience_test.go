@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func TestLimiterSaturationShedsWithRetryAfter(t *testing.T) {
 	if ok200 != 4 || shed503 != 4 {
 		t.Fatalf("got %d OK / %d shed, want 4 / 4", ok200, shed503)
 	}
-	if got := s.limiter.Inflight(); got != 0 {
+	if got := s.Limiter.Inflight(); got != 0 {
 		t.Errorf("inflight = %d after drain, want 0", got)
 	}
 }
@@ -369,5 +370,30 @@ func TestJobSubmitValidation(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, rec.Code)
 		}
+	}
+}
+
+func TestJobSubmitRateLimitedBeforeDecode(t *testing.T) {
+	sv := NewService(Config{RateLimit: resilience.RateLimiterConfig{RPS: 0.001, Burst: 1}})
+	defer sv.Close()
+	h := sv.Handler()
+	post := func() *httptest.ResponseRecorder {
+		r := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(`{not json`))
+		r.Header.Set("X-Client-ID", "alice")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		return rec
+	}
+	// The burst admits one request, whose body then fails to decode.
+	if rec := post(); rec.Code != http.StatusBadRequest {
+		t.Fatalf("first submit: %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	// Over the limit, the body must not be read at all.
+	rec := post()
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-limit submit: %d, want 429: %s", rec.Code, rec.Body.String())
+	}
+	if e := decodeErr(t, rec); e.Reason != resilience.ReasonRateLimited {
+		t.Fatalf("reason = %q, want %q", e.Reason, resilience.ReasonRateLimited)
 	}
 }

@@ -22,12 +22,12 @@
 // already gone.
 //
 // The expensive synchronous endpoints (/v1/simulate, /v1/mrc,
-// /v1/experiments/{id}) additionally sit behind the internal/resilience
+// /v1/experiments/{id}) additionally sit behind the internal/httpapi
 // admission stack: per-client token-bucket rate limiting (429), a per-route
 // circuit breaker (503), and the server-wide concurrency limiter with its
-// bounded FIFO wait queue (503). Every rejection uses one JSON envelope with
-// a machine-readable "reason" and, for shed work, a Retry-After hint in both
-// the header and the body.
+// bounded FIFO wait queue (503); POST /v1/jobs gets the rate limit alone.
+// Every rejection uses one JSON envelope with a machine-readable "reason"
+// and, for shed work, a Retry-After hint in both the header and the body.
 package server
 
 import (
@@ -36,24 +36,19 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"convexcache/internal/analysis"
 	"convexcache/internal/costfn"
 	"convexcache/internal/experiments"
+	"convexcache/internal/httpapi"
 	"convexcache/internal/obs"
 	"convexcache/internal/resilience"
 	"convexcache/internal/runspec"
 	"convexcache/internal/sim"
 )
-
-// MaxBodyBytes is the default request-body cap (traces dominate; ~16 MiB of
-// JSON covers millions of requests). Override via Config.MaxBodyBytes.
-const MaxBodyBytes = 16 << 20
 
 // MaxMRCSize caps MRCRequest.MaxSize: each unit allocates O(tenants)
 // float64s of curve, so an unbounded value lets one request OOM the
@@ -67,7 +62,8 @@ const StatusClientClosedRequest = 499
 
 // Config tunes the service; the zero value is production-usable.
 type Config struct {
-	// MaxBodyBytes caps request bodies; <= 0 selects MaxBodyBytes.
+	// MaxBodyBytes caps request bodies; <= 0 selects
+	// httpapi.MaxBodyBytes.
 	MaxBodyBytes int64
 	// Logger receives the structured request logs; nil selects
 	// slog.Default().
@@ -95,15 +91,9 @@ type Config struct {
 
 // service carries the per-instance state shared by all handlers.
 type service struct {
-	maxBody int64
-	log     *slog.Logger
-	reg     *obs.Registry
-	fault   func(http.Handler) http.Handler
-
-	limiter  *resilience.Limiter
-	rate     *resilience.RateLimiter
-	breakers map[string]*resilience.Breaker
-	jobs     *resilience.Jobs
+	*httpapi.API
+	fault func(http.Handler) http.Handler
+	jobs  *resilience.Jobs
 
 	// policyHook, when non-nil, is consulted before the policy registry;
 	// tests use it to inject misbehaving (e.g. panicking) policies.
@@ -111,30 +101,19 @@ type service struct {
 }
 
 func newService(cfg Config) *service {
-	s := &service{maxBody: cfg.MaxBodyBytes, log: cfg.Logger, reg: cfg.Registry, fault: cfg.Fault}
-	if s.maxBody <= 0 {
-		s.maxBody = MaxBodyBytes
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	if s.log == nil {
-		s.log = slog.Default()
-	}
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
-	s.limiter = resilience.NewLimiter(cfg.Limiter, s.reg)
-	s.rate = resilience.NewRateLimiter(cfg.RateLimit, s.reg)
-	s.jobs = resilience.NewJobs(cfg.Jobs, s.reg)
-	s.breakers = make(map[string]*resilience.Breaker)
-	for _, ep := range protectedEndpoints {
-		s.breakers[ep] = resilience.NewBreaker(ep, cfg.Breaker, s.reg)
-	}
-	return s
+	api := httpapi.New(httpapi.Config{
+		Logger:       cfg.Logger,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Limiter:      cfg.Limiter,
+		RateLimit:    cfg.RateLimit,
+		Breaker:      cfg.Breaker,
+	}, reg)
+	return &service{API: api, fault: cfg.Fault, jobs: resilience.NewJobs(cfg.Jobs, reg)}
 }
-
-// protectedEndpoints are the expensive synchronous routes guarded by the
-// full admission stack (rate limit -> breaker -> limiter). Each gets its own
-// circuit breaker so a broken experiment cannot open the simulate circuit.
-var protectedEndpoints = []string{"/v1/simulate", "/v1/mrc", "/v1/experiments/{id}"}
 
 // Service is the HTTP service plus the background state (job workers) that
 // outlives individual requests. Close it on shutdown.
@@ -170,15 +149,14 @@ func NewWithConfig(cfg Config) http.Handler {
 }
 
 func (s *service) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.Handle("GET /metrics", s.reg.Handler())
+	// The expensive synchronous routes get the full admission stack, each
+	// with its own circuit breaker so a broken experiment cannot open the
+	// simulate circuit.
+	mux := s.Mux()
 	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
-	mux.HandleFunc("POST /v1/simulate", s.protect("/v1/simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/mrc", s.protect("/v1/mrc", s.handleMRC))
-	mux.HandleFunc("POST /v1/experiments/{id}", s.protect("/v1/experiments/{id}", s.handleExperiment))
+	mux.HandleFunc("POST /v1/simulate", s.Protect("/v1/simulate", s.handleSimulate))
+	mux.HandleFunc("POST /v1/mrc", s.Protect("/v1/mrc", s.handleMRC))
+	mux.HandleFunc("POST /v1/experiments/{id}", s.Protect("/v1/experiments/{id}", s.handleExperiment))
 	mux.HandleFunc("POST /v1/fit", s.handleFit)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
@@ -201,8 +179,7 @@ func (s *service) handler() http.Handler {
 			clean.ServeHTTP(w, r)
 		})
 	}
-	mw := obs.Middleware{Reg: s.reg, Log: s.log, Route: routeLabel}
-	return mw.Wrap(inner)
+	return s.Wrap(inner, routeLabel)
 }
 
 // routeLabel maps a request to a bounded-cardinality metrics label: the
@@ -228,85 +205,6 @@ func routeLabel(r *http.Request) string {
 		}
 	}
 	return "other"
-}
-
-// clientKey identifies the caller for rate limiting: the X-Client-ID header
-// when present (trusted deployments put a tenant id there), else the remote
-// host without the ephemeral port.
-func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
-
-// statusWriter captures the status code so protect can classify the
-// response for the circuit breaker.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// protect wraps an expensive handler with the admission stack, outermost
-// first: per-client rate limit (429), the endpoint's circuit breaker (503),
-// then the server-wide concurrency limiter with its FIFO wait queue (503).
-// The handler's own 5xx responses — and panics, which propagate to the obs
-// recovery middleware — count as breaker failures; limiter sheds are
-// recorded as Ignored so overload cannot trip a healthy endpoint's circuit.
-func (s *service) protect(endpoint string, next http.HandlerFunc) http.HandlerFunc {
-	br := s.breakers[endpoint]
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.rate.Enabled() {
-			if err := s.rate.Allow(clientKey(r)); err != nil {
-				s.shedError(w, r, err)
-				return
-			}
-		}
-		call, err := br.Allow()
-		if err != nil {
-			s.shedError(w, r, err)
-			return
-		}
-		release, err := s.limiter.Acquire(r.Context())
-		if err != nil {
-			call.Record(resilience.Ignored, 0)
-			s.shedError(w, r, err)
-			return
-		}
-		defer release()
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		completed := false
-		defer func() {
-			// No recover: a panic still records a Failure here and then
-			// propagates to obs.Middleware's recovery, which owns the 500.
-			switch {
-			case !completed || sw.status >= http.StatusInternalServerError:
-				call.Record(resilience.Failure, time.Since(start))
-			default:
-				call.Record(resilience.Success, time.Since(start))
-			}
-		}()
-		next(sw, r)
-		completed = true
-	}
 }
 
 // FitRequest calibrates a convex SLA curve from (misses, penalty) samples.
@@ -338,7 +236,7 @@ func (s *service) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, FitResponse{
+	s.WriteJSON(w, r, http.StatusOK, FitResponse{
 		Breakpoints: f.X,
 		Slopes:      f.S,
 		Alpha:       f.Alpha(),
@@ -419,7 +317,7 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := req.scenario()
 	sc.PolicyHook = s.policyHook
-	stepsTotal := s.reg.Counter("sim_steps_total")
+	stepsTotal := s.Reg.Counter("sim_steps_total")
 	sc.Progress = func(delta int) { stepsTotal.Add(int64(delta)) }
 	out, err := sc.Execute(r.Context())
 	if err != nil {
@@ -435,10 +333,10 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			s.simError(w, r, row.Policy, row.Err)
 			return
 		}
-		s.reg.Counter("sim_runs_total").Inc()
-		s.reg.Counter("sim_evictions_total").Add(row.Result.TotalEvictions())
+		s.Reg.Counter("sim_runs_total").Inc()
+		s.Reg.Counter("sim_evictions_total").Add(row.Result.TotalEvictions())
 		if el := row.Duration.Seconds(); el > 0 {
-			s.reg.Histogram("sim_steps_per_second", stepsRateBuckets).
+			s.Reg.Histogram("sim_steps_per_second", stepsRateBuckets).
 				Observe(float64(row.Result.Steps) / el)
 		}
 		resp.Results = append(resp.Results, PolicyResult{
@@ -449,7 +347,7 @@ func (s *service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			TotalCost: row.Cost,
 		})
 	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 // simError maps a failed simulation row onto the wire: client-abandoned
@@ -464,13 +362,13 @@ func (s *service) simError(w http.ResponseWriter, r *http.Request, policy string
 	case errors.Is(err, context.Canceled):
 		// Client disconnected mid-replay; nothing reads the reply, but
 		// record why the request ended.
-		s.reg.Counter("sim_cancelled_total").Inc()
-		obs.LoggerFrom(r.Context(), s.log).Warn("simulation cancelled",
+		s.Reg.Counter("sim_cancelled_total").Inc()
+		obs.LoggerFrom(r.Context(), s.Log).Warn("simulation cancelled",
 			"policy", policy, "err", err)
 		s.httpError(w, r, StatusClientClosedRequest, err)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.reg.Counter("sim_deadline_total").Inc()
-		s.writeError(w, r, http.StatusServiceUnavailable,
+		s.Reg.Counter("sim_deadline_total").Inc()
+		s.WriteError(w, r, http.StatusServiceUnavailable,
 			resilience.ReasonDeadline, time.Second, err)
 	default:
 		s.httpError(w, r, http.StatusInternalServerError, err)
@@ -551,7 +449,7 @@ func (s *service) handleMRC(w http.ResponseWriter, r *http.Request) {
 		resp.Quotas = quotas
 		resp.PredictedCost = cost
 	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 // ExperimentResponse is the reply of POST /v1/experiments/{id}.
@@ -573,7 +471,7 @@ func (s *service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		s.writeJSON(w, r, http.StatusOK, ExperimentResponse{
+		s.WriteJSON(w, r, http.StatusOK, ExperimentResponse{
 			ID: e.ID, Claim: e.Claim, Header: tb.Header, Rows: tb.Rows(),
 		})
 		return
@@ -582,7 +480,7 @@ func (s *service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *service) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, r, http.StatusOK, map[string][]string{
+	s.WriteJSON(w, r, http.StatusOK, map[string][]string{
 		"policies": runspec.PolicyNames(),
 	})
 }
@@ -590,7 +488,7 @@ func (s *service) handlePolicies(w http.ResponseWriter, r *http.Request) {
 // decode parses the size-capped JSON body into dst, rejecting unknown
 // fields and trailing garbage (`{}{"x":1}` must not parse as `{}`).
 func (s *service) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -604,69 +502,10 @@ func (s *service) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// writeJSON writes v; an encoder failure mid-stream means the client gets a
-// truncated 200, so the failure is at least logged with the request ID and
-// counted rather than swallowed.
-func (s *service) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.reg.Counter("http_response_encode_errors_total").Inc()
-		obs.LoggerFrom(r.Context(), s.log).Error("encode response",
-			"status", status, "err", err)
-	}
-}
-
-// errorBody is the single JSON error envelope every rejection uses: a
-// human-readable message, a machine-readable reason, the request ID for log
-// correlation, and (for shed work only) the back-off hint mirrored from the
-// Retry-After header.
-type errorBody struct {
-	Error             string  `json:"error"`
-	Reason            string  `json:"reason,omitempty"`
-	RequestID         string  `json:"request_id,omitempty"`
-	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
-}
-
-// writeError writes the envelope; retryAfter > 0 also sets the Retry-After
-// header (whole seconds, rounded up, never below 1).
-func (s *service) writeError(w http.ResponseWriter, r *http.Request, status int, reason string, retryAfter time.Duration, err error) {
-	body := errorBody{
-		Error:     err.Error(),
-		Reason:    reason,
-		RequestID: obs.RequestIDFrom(r.Context()),
-	}
-	if retryAfter > 0 {
-		secs := int((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		body.RetryAfterSeconds = retryAfter.Seconds()
-	}
-	s.writeJSON(w, r, status, body)
-}
-
-// shedError maps a resilience rejection onto the envelope: rate-limited
-// callers get 429, every other shed is 503, and the Shed's typed reason and
-// Retry-After hint flow straight through.
-func (s *service) shedError(w http.ResponseWriter, r *http.Request, err error) {
-	var sh *resilience.Shed
-	if !errors.As(err, &sh) {
-		s.writeError(w, r, http.StatusServiceUnavailable, "unavailable", 0, err)
-		return
-	}
-	status := http.StatusServiceUnavailable
-	if sh.Reason == resilience.ReasonRateLimited {
-		status = http.StatusTooManyRequests
-	}
-	s.writeError(w, r, status, sh.Reason, sh.RetryAfter, err)
-}
-
 // httpError is the legacy helper for non-shed failures; the reason is
 // derived from the status so every error response carries one.
 func (s *service) httpError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeError(w, r, status, reasonForStatus(status), 0, err)
+	s.WriteError(w, r, status, reasonForStatus(status), 0, err)
 }
 
 func reasonForStatus(status int) string {
