@@ -456,8 +456,11 @@ func liveSuite() []Result {
 }
 
 // verifyBench times one clean Verify of a 2-shard service that served reqs
-// once, outside the timer, with a small-segment WAL, so each replay reads
-// sealed segments and the in-memory tail. req/s counts logged requests.
+// once, outside the timer, with a 256 KiB-segment WAL. At 2–3 bytes per
+// logged request a shard's ~100,000 requests fill at most one segment, so
+// a replay reads one sealed segment or none and then the in-memory tail;
+// the inputs stay fixed so the regression gate compares like with like.
+// req/s counts logged requests.
 func verifyBench(reqs []cached.Request, tenants int, costs []costfn.Func) Result {
 	const name = "live/verify/n=2/k=4096"
 	dir, err := os.MkdirTemp("", "bench-verify-")

@@ -72,14 +72,15 @@ func BenchmarkApplyDense(b *testing.B) {
 }
 
 // BenchmarkVerify is one live-vs-replay differential over a closed 2-shard
-// service whose log spans sealed WAL segments and the in-memory tail. The
-// stream is applied once, outside the timer; one op is one Verify.
+// service whose log spans sealed WAL segments (64 KiB, a few per shard) and
+// the in-memory tail. The stream is applied once, outside the timer; one op
+// is one Verify.
 func BenchmarkVerify(b *testing.B) {
 	reqs := benchRequests(b, 4, 4096, 200_000)
 	svc, err := New(Config{
 		K: 4096, Shards: 2, Tenants: 4,
 		NewPolicy: benchPolicy,
-		WAL:       &WALConfig{Dir: b.TempDir(), Fsync: FsyncOff, SegmentBytes: 256 << 10, CheckpointEvery: -1},
+		WAL:       &WALConfig{Dir: b.TempDir(), Fsync: FsyncOff, SegmentBytes: 64 << 10, CheckpointEvery: -1},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -90,6 +91,11 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 	svc.Close()
+	for _, sh := range svc.Stats().Shards {
+		if sh.Seg == 0 {
+			b.Fatalf("shard %d sealed no segment", sh.Shard)
+		}
+	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -304,7 +304,7 @@ func New(cfg Config) (*Service, error) {
 			s.recovery = rep
 		} else {
 			for _, sh := range s.shards {
-				if err := sh.wal.openFresh(); err != nil {
+				if err := sh.openSegment(0); err != nil {
 					return nil, err
 				}
 			}

@@ -275,42 +275,83 @@ func TestLiveVsReplayMillionConcurrent(t *testing.T) {
 
 // TestVerifyUnderLiveTraffic calls Verify while clients keep writing: the
 // snapshot must land on a batch boundary and still diff clean against the
-// replay of exactly the admitted prefix.
+// replay of exactly the admitted prefix. With a WAL of 4 KiB segments the
+// shards rotate while Verify reads the chunks its snapshot views, so a chunk
+// written again after rotation is a data race.
 func TestVerifyUnderLiveTraffic(t *testing.T) {
 	const k, tenants = 64, 2
-	svc := newTestService(t, k, 2, tenants)
-	reqs := genRequests(5, tenants, 300, 40_000)
+	for _, tc := range []struct {
+		name string
+		wal  func(dir string) *WALConfig
+	}{
+		{"no-wal", func(string) *WALConfig { return nil }},
+		{"wal", testWAL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newWALService(t, Config{K: k, Shards: 2, Tenants: tenants, NewPolicy: testPolicy, WAL: tc.wal(t.TempDir())})
+			reqs := genRequests(5, tenants, 300, 40_000)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			for i := off; ; i = (i + 512) % (len(reqs) - 512) {
-				select {
-				case <-stop:
-					return
-				default:
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func(off int) {
+					defer wg.Done()
+					for i := off; ; i = (i + 512) % (len(reqs) - 512) {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := svc.Apply(reqs[i : i+512]); err != nil {
+							t.Errorf("apply: %v", err)
+							return
+						}
+					}
+				}(c * 997)
+			}
+			seg := svc.Stats().Shards[0].Seg
+			for round := 0; round < 3; round++ {
+				rep, err := svc.Verify(context.Background())
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
 				}
-				if _, err := svc.Apply(reqs[i : i+512]); err != nil {
-					t.Errorf("apply: %v", err)
-					return
+				if !rep.Clean {
+					t.Errorf("round %d: diffs %v", round, rep.Diffs)
 				}
 			}
-		}(c * 997)
+			close(stop)
+			wg.Wait()
+			if tc.name == "wal" && svc.Stats().Shards[0].Seg == seg {
+				t.Error("no segment rotated while Verify ran")
+			}
+		})
 	}
-	for round := 0; round < 3; round++ {
-		rep, err := svc.Verify(context.Background())
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+}
+
+// TestLogBytesGauge pins the tail's memory. Without a WAL the tail is the
+// whole session, and cached_log_bytes reports its length: at most 4 B per
+// logged request, because a repeat is one varint slot.
+func TestLogBytesGauge(t *testing.T) {
+	const n = 100_000
+	svc := newTestService(t, 64, 2, 3)
+	applyAll(t, svc, genRequests(11, 3, 1000, n), 256)
+	svc.Close()
+	total := 0
+	for _, sh := range svc.shards {
+		held := 0
+		for _, c := range sh.log.chunks {
+			held += len(c)
 		}
-		if !rep.Clean {
-			t.Errorf("round %d: diffs %v", round, rep.Diffs)
+		gauge := svc.Registry().Gauge(fmt.Sprintf(`cached_log_bytes{shard="%d"}`, sh.id)).Value()
+		if gauge != int64(held) || held != sh.log.bytes {
+			t.Fatalf("shard %d: gauge %d, tail counts %d, chunks hold %d", sh.id, gauge, sh.log.bytes, held)
 		}
+		total += held
 	}
-	close(stop)
-	wg.Wait()
+	if per := float64(total) / n; per > 4 {
+		t.Fatalf("tail holds %.2f B per request, want at most 4", per)
+	}
 }
 
 // TestGracefulDrainMidLoad closes the service while concurrent clients are

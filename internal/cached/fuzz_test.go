@@ -3,6 +3,7 @@ package cached
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,27 +107,46 @@ func FuzzCachedBatch(f *testing.F) {
 	})
 }
 
-// walSeedSegment builds a structurally valid single-shard partition-mode
-// segment for the recovery fuzzer's corpus.
-func walSeedSegment() []byte {
-	var buf []byte
-	buf = appendFrame(buf, encodeHeader(0, 1, 0))
-	buf = appendFrame(buf, encodeRequest(nil, 1, 0, 0, []byte("alpha")))
-	buf = appendFrame(buf, encodeRequest(nil, 2, 1, 1, []byte("beta")))
-	buf = appendFrame(buf, encodeQuotas(nil, 3, []int{3, 1}))
-	buf = appendFrame(buf, encodeRequest(nil, 4, 0, 0, nil))
-	buf = appendFrame(buf, encodeRequest(nil, 5, 2, 0, []byte("gamma")))
-	return buf
+// walSeedFrames is a valid single-shard partition-mode log as frame
+// payloads, written by the live encoder: the header, a batch of first
+// appearances and a repeat, a quota change, then a batch mixing repeats and
+// a new page.
+func walSeedFrames() [][]byte {
+	var l logTail
+	l.commit(encodeHeader(0, 1, 0))
+	l.request(1, 0, 0, []byte("alpha"))
+	l.request(2, 1, 1, []byte("beta"))
+	l.request(3, 0, 0, nil)
+	l.closeFrame()
+	l.quotas(4, []int{3, 1})
+	l.request(5, 0, 0, nil)
+	l.request(6, 2, 0, []byte("gamma"))
+	l.request(7, 1, 1, nil)
+	l.closeFrame()
+	var out [][]byte
+	for c := l.chunks[0]; len(c) > 0; {
+		n := frameHeaderBytes + int(binary.LittleEndian.Uint32(c))
+		out = append(out, c[frameHeaderBytes:n])
+		c = c[n:]
+	}
+	return out
+}
+
+// frameSegment gives each payload a valid frame.
+func frameSegment(payloads [][]byte) []byte {
+	var seg []byte
+	for _, p := range payloads {
+		seg = appendFrame(seg, p)
+	}
+	return seg
 }
 
 // FuzzWALRecover feeds arbitrary bytes to startup recovery as shard 0's only
-// WAL segment. The contract under corruption: recovery either fails loudly
-// (New returns an error) or truncates to a valid prefix — and in the latter
-// case the recovered service must be fully consistent: conserving counters,
-// passing the live-vs-replay differential, and still serving traffic. It must
-// never panic and never invent state.
+// WAL segment. Almost every mutation breaks a CRC, so this target mostly
+// exercises framing and torn-tail truncation; FuzzWALRecoverFramed reaches
+// the decoder.
 func FuzzWALRecover(f *testing.F) {
-	seed := walSeedSegment()
+	seed := frameSegment(walSeedFrames())
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])        // torn tail
 	f.Add(seed[:frameHeaderBytes-2]) // torn header frame
@@ -135,39 +155,71 @@ func FuzzWALRecover(f *testing.F) {
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(seed)/2] ^= 0x20
 	f.Add(corrupt)
+	f.Fuzz(checkRecovered)
+}
+
+// framedSep separates the payloads of a FuzzWALRecoverFramed input.
+var framedSep = []byte{0xfe, 0xfe}
+
+// FuzzWALRecoverFramed gives each 0xfe 0xfe-separated chunk of its input a
+// valid frame, so every mutation reaches the log reader's validator, then
+// checks recovery exactly as FuzzWALRecover does.
+func FuzzWALRecoverFramed(f *testing.F) {
+	frames := walSeedFrames()
+	f.Add(bytes.Join(frames, framedSep))
+	last := len(frames) - 1
+	torn := append(append([][]byte(nil), frames[:last]...), frames[last][:len(frames[last])-2])
+	f.Add(bytes.Join(torn, framedSep)) // a batch frame cut short inside
+	for _, i := range []int{0, 1, 2} {
+		flipped := append([][]byte(nil), frames...)
+		flipped[i] = append([]byte(nil), frames[i]...)
+		flipped[i][len(flipped[i])/2] ^= 0x04
+		f.Add(bytes.Join(flipped, framedSep)) // a bit flip behind a valid CRC
+	}
+	f.Add(bytes.Join(frames[1:], framedSep)) // no header
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		shardDir := filepath.Join(dir, "shard-000")
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(shardDir, segName(0)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		svc, err := New(Config{K: 4, Shards: 1, Tenants: 2, Quotas: []int{2, 2},
-			WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, CheckpointEvery: -1, Recover: true}})
-		if err != nil {
-			return // failed loudly; acceptable
-		}
-		defer svc.Close()
-		st := svc.Stats()
-		if st.Hits+st.Misses != st.Requests {
-			t.Fatalf("recovered inconsistent counters: hits %d + misses %d != requests %d", st.Hits, st.Misses, st.Requests)
-		}
-		rep := svc.Recovery()
-		if rep == nil || rep.Requests != st.Requests {
-			t.Fatalf("recovery report %+v does not match stats %+v", rep, st)
-		}
-		vrep, err := svc.Verify(context.Background())
-		if err != nil {
-			t.Fatalf("verify after recovery: %v", err)
-		}
-		if !vrep.Clean {
-			t.Fatalf("recovered state fails live-vs-replay: %v", vrep.Diffs)
-		}
-		// The service must still serve on top of the recovered state.
-		if _, err := svc.Apply([]Request{{Op: OpGet, Tenant: 0, Key: []byte("post-recovery")}}); err != nil {
-			t.Fatalf("apply after recovery: %v", err)
-		}
+		checkRecovered(t, frameSegment(bytes.Split(data, framedSep)))
 	})
+}
+
+// checkRecovered writes segment as shard 0's only WAL segment and recovers
+// it. The contract under corruption: recovery either fails loudly (New
+// returns an error) or truncates to a valid prefix — and in the latter case
+// the recovered service must be fully consistent: conserving counters,
+// passing the live-vs-replay differential, and still serving traffic. It
+// must never panic and never invent state.
+func checkRecovered(t *testing.T, segment []byte) {
+	dir := t.TempDir()
+	shardDir := filepath.Join(dir, "shard-000")
+	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shardDir, segName(0)), segment, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{K: 4, Shards: 1, Tenants: 2, Quotas: []int{2, 2},
+		WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, CheckpointEvery: -1, Recover: true}})
+	if err != nil {
+		return // failed loudly; acceptable
+	}
+	defer svc.Close()
+	st := svc.Stats()
+	if st.Hits+st.Misses != st.Requests {
+		t.Fatalf("recovered inconsistent counters: hits %d + misses %d != requests %d", st.Hits, st.Misses, st.Requests)
+	}
+	rep := svc.Recovery()
+	if rep == nil || rep.Requests != st.Requests {
+		t.Fatalf("recovery report %+v does not match stats %+v", rep, st)
+	}
+	vrep, err := svc.Verify(context.Background())
+	if err != nil {
+		t.Fatalf("verify after recovery: %v", err)
+	}
+	if !vrep.Clean {
+		t.Fatalf("recovered state fails live-vs-replay: %v", vrep.Diffs)
+	}
+	// The service must still serve on top of the recovered state.
+	if _, err := svc.Apply([]Request{{Op: OpGet, Tenant: 0, Key: []byte("post-recovery")}}); err != nil {
+		t.Fatalf("apply after recovery: %v", err)
+	}
 }

@@ -1,11 +1,9 @@
 package cached
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path"
 	"sort"
@@ -48,9 +46,8 @@ type checkpoint struct {
 	Misses    []int64 `json:"misses"`
 	Evictions []int64 `json:"evictions"`
 
-	Pages    int       `json:"pages"`
-	NextPage int64     `json:"next_page"`
-	Keys     []ckptKey `json:"keys"`
+	Pages int       `json:"pages"`
+	Keys  []ckptKey `json:"keys"`
 
 	// Engine is "quota" or "fast"; exactly one image field is set.
 	Engine string `json:"engine"`
@@ -81,7 +78,7 @@ type RecoveryReport struct {
 	Replayed int64 `json:"replayed"`
 	// LastSeq is the restored global sequence counter.
 	LastSeq int64 `json:"last_seq"`
-	// Truncations counts torn tails cut at a record boundary.
+	// Truncations counts torn tails cut at a frame boundary.
 	Truncations int `json:"truncations"`
 	// Checkpoints counts shards restored from a checkpoint image.
 	Checkpoints int `json:"checkpoints"`
@@ -104,7 +101,6 @@ func (sh *shard) buildCheckpoint() *checkpoint {
 		Misses:       append([]int64(nil), sh.misses...),
 		Evictions:    append([]int64(nil), sh.evictions...),
 		Pages:        sh.pages,
-		NextPage:     int64(sh.nextPage),
 	}
 	switch {
 	case sh.qlru != nil:
@@ -181,9 +177,10 @@ func (sh *shard) loadCheckpoint(name string) (*checkpoint, error) {
 		return nil, err
 	}
 	defer rc.Close()
-	payload, err := readOneFrame(rc)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", path.Base(name), err)
+	b, err := io.ReadAll(rc)
+	payload, rest, ok := cutFrame(b)
+	if err != nil || !ok || len(rest) != 0 {
+		return nil, fmt.Errorf("checkpoint %s is not one intact frame (%v)", path.Base(name), err)
 	}
 	ck := &checkpoint{}
 	if err := json.Unmarshal(payload, ck); err != nil {
@@ -217,7 +214,7 @@ func (sh *shard) installCheckpoint(ck *checkpoint) error {
 		if k.Tenant < 0 || k.Tenant >= cfg.Tenants {
 			return fmt.Errorf("checkpoint key for out-of-range tenant %d", k.Tenant)
 		}
-		if k.Page < 0 || int(k.Page%int64(n)) != sh.id || k.Page >= ck.NextPage {
+		if k.Page < 0 || int(k.Page%int64(n)) != sh.id || k.Page >= int64(sh.id+ck.Pages*n) {
 			return fmt.Errorf("checkpoint key maps to page %d outside shard %d's allocation", k.Page, sh.id)
 		}
 		kt := &sh.keys[k.Tenant]
@@ -262,25 +259,10 @@ func (sh *shard) installCheckpoint(ck *checkpoint) error {
 	copy(sh.misses, ck.Misses)
 	copy(sh.evictions, ck.Evictions)
 	sh.pages = ck.Pages
-	sh.nextPage = trace.PageID(ck.NextPage)
 	sh.steps = ck.Entries
 	sh.lastSeq = ck.LastSeq
 	sh.lastQuotaSeq = ck.LastQuotaSeq
 	return nil
-}
-
-// resetForRecovery returns the shard to its birth state (fresh engine,
-// empty key table) before a recovery attempt installs a checkpoint and
-// replays the log.
-func (sh *shard) resetForRecovery() {
-	sh.resetEngine()
-	for t := range sh.keys {
-		sh.keys[t] = keyTable{}
-	}
-	sh.nextPage = trace.PageID(sh.id)
-	sh.pages = 0
-	sh.log = entryLog{}
-	sh.logStart = 0
 }
 
 // recoverWAL restores the shard from its WAL directory. Checkpoints are
@@ -294,7 +276,7 @@ func (sh *shard) recoverWAL(rep *RecoveryReport) error {
 		return fmt.Errorf("cached: shard %d: list wal segments: %w", sh.id, err)
 	}
 	if len(segs) == 0 {
-		return w.openFresh()
+		return sh.openSegment(0)
 	}
 	cks, err := listCheckpoints(w.fs, w.dir)
 	if err != nil {
@@ -323,31 +305,32 @@ func (sh *shard) recoverWAL(rep *RecoveryReport) error {
 }
 
 // replaySegments is one recovery attempt: reset, install ck (may be nil =
-// full replay), then scan every segment in chain order, re-running each
-// entry past the checkpoint through the verbatim engine step. The final
-// segment may end in a torn tail, which is truncated at the last valid
-// frame; any earlier damage, ordering violation or chain gap is a hard
-// error.
+// full replay), then read every segment in chain order through the log
+// reader, re-running each entry past the checkpoint through the verbatim
+// engine step. The final segment may end in a torn tail, which is truncated
+// at the last valid frame, and its frames become the in-memory tail; any
+// earlier damage, validation failure or chain gap is a hard error.
 func (sh *shard) replaySegments(segs []int, ck *checkpoint, rep *RecoveryReport) error {
-	sh.resetForRecovery()
+	sh.reset()
 	w := sh.wal
+	v := &replay{sh: sh}
 	ckEntries := 0
 	if ck != nil {
 		if err := sh.installCheckpoint(ck); err != nil {
 			// Installation can fail after mutating the key table; reset so
 			// the next candidate starts clean.
-			sh.resetForRecovery()
+			sh.reset()
 			return err
 		}
 		ckEntries = ck.Entries
+		v.skip = ckEntries
 	}
-	n := sh.svc.cfg.Shards
-	tenants := sh.svc.cfg.Tenants
-	entries := 0
-	replayed := int64(0)
-	var lastSeq int64
-	var tail entryLog
-	tailStart := 0
+	r := sh.svc.newLogReader(sh.id)
+	var (
+		tail      logTail
+		tailStart int
+		size      int64
+	)
 	for i, idx := range segs {
 		if idx != i {
 			return fmt.Errorf("wal segment chain broken: found segment %d at position %d", idx, i)
@@ -358,115 +341,57 @@ func (sh *shard) replaySegments(segs []int, ck *checkpoint, rep *RecoveryReport)
 		if err != nil {
 			return err
 		}
-		hdrSeen := false
-		segStart := 0
-		valid, torn, serr := scanSegment(rc, func(rec walRecord) error {
-			if !hdrSeen {
-				if rec.kind != recHeader {
-					return fmt.Errorf("segment %d: first record is %q, not a header", idx, rec.kind)
-				}
-				if rec.version != walVersion {
-					return fmt.Errorf("segment %d: wal version %d, want %d", idx, rec.version, walVersion)
-				}
-				if rec.shard != sh.id || rec.shards != n {
-					return fmt.Errorf("segment %d: written by shard %d of %d, this is shard %d of %d", idx, rec.shard, rec.shards, sh.id, n)
-				}
-				if rec.startEntry != entries {
-					return fmt.Errorf("segment %d: starts at entry %d, expected %d — entries are missing", idx, rec.startEntry, entries)
-				}
-				segStart = rec.startEntry
-				hdrSeen = true
-				return nil
-			}
-			if rec.kind == recHeader {
-				return fmt.Errorf("segment %d: duplicate header", idx)
-			}
-			e := rec.entry
-			if e.Seq <= lastSeq {
-				return fmt.Errorf("segment %d: seq %d not increasing (prev %d)", idx, e.Seq, lastSeq)
-			}
-			lastSeq = e.Seq
-			if e.Quotas == nil {
-				if int(e.Tenant) >= tenants {
-					return fmt.Errorf("segment %d: entry for out-of-range tenant %d", idx, e.Tenant)
-				}
-				if int(e.Page)%n != sh.id {
-					return fmt.Errorf("segment %d: entry for page %d outside shard %d's residue class", idx, e.Page, sh.id)
-				}
-			} else if len(e.Quotas) != tenants {
-				return fmt.Errorf("segment %d: quota control entry with %d tenants, config has %d", idx, len(e.Quotas), tenants)
-			}
-			at := entries
-			entries++
-			if final {
-				tail.append(e)
-			}
-			if at < ckEntries {
-				return nil // covered by the checkpoint image
-			}
-			replayed++
-			return sh.replayEntry(e, rec.key)
-		})
-		rc.Close()
-		if serr != nil {
-			return serr
+		tailStart = r.entries
+		var keep *logTail
+		if final {
+			keep = &tail
 		}
-		if torn {
-			if !final {
-				return fmt.Errorf("wal segment %d has a torn tail but is not the last segment — refusing to drop admitted requests", idx)
-			}
+		valid, torn, err := r.segment(rc, idx, v, keep)
+		rc.Close()
+		switch {
+		case err != nil:
+			return err
+		case torn && !final:
+			return fmt.Errorf("wal segment %d has a torn tail but is not the last segment — refusing to drop admitted requests", idx)
+		case !r.header && !final:
+			return fmt.Errorf("wal segment %d has no header", idx)
+		case torn:
 			if err := truncateSegment(w.fs, name, valid); err != nil {
 				return fmt.Errorf("truncate torn tail of segment %d: %w", idx, err)
 			}
-			w.truncations++
 			rep.Truncations++
 		}
-		if final {
-			if !hdrSeen {
-				// The header itself was torn away: the segment is empty and
-				// restarts at the running entry count.
-				segStart = entries
-			}
-			tailStart = segStart
-			w.segIndex = idx
-			w.segStart = segStart
-			w.size = valid
+		size = valid
+	}
+	switch {
+	case v.skip > 0:
+		return fmt.Errorf("checkpoint covers %d entries but the wal holds only %d — checkpoint outran durability", ckEntries, r.entries)
+	case sh.steps != r.entries:
+		return fmt.Errorf("replay produced %d entries, wal holds %d", sh.steps, r.entries)
+	case sh.pages != len(r.owners):
+		return fmt.Errorf("key table holds %d pages, the wal introduces %d", sh.pages, len(r.owners))
+	}
+	// Reopen the final segment for appending; when the tear consumed its
+	// header, restart it at the running entry count with a fresh one.
+	last := segs[len(segs)-1]
+	if r.header {
+		if err := w.open(last); err != nil {
+			return err
+		}
+		w.size = size
+		sh.log, sh.logStart = tail, tailStart
+		sh.log.unwritten(func([]byte) error { return nil }) // the segment holds it
+	} else {
+		sh.resetLog()
+		if err := sh.openSegment(last); err != nil {
+			return fmt.Errorf("rewrite header of segment %d: %w", last, err)
 		}
 	}
-	if entries < ckEntries {
-		return fmt.Errorf("checkpoint covers %d entries but the wal holds only %d — checkpoint outran durability", ckEntries, entries)
-	}
-	if sh.steps != entries {
-		return fmt.Errorf("replay produced %d entries, wal holds %d", sh.steps, entries)
-	}
-	sh.log = tail
-	sh.logStart = tailStart
-	// Reopen the final segment for appending; rewrite the header if the
-	// tear consumed it.
-	f, err := w.fs.Append(path.Join(w.dir, segName(w.segIndex)))
-	if err != nil {
-		return fmt.Errorf("reopen active segment %d: %w", w.segIndex, err)
-	}
-	w.f = f
-	w.buf = w.buf[:0]
-	w.dirty = false
 	w.lastSync = time.Now()
-	if w.size == 0 {
-		frame := appendFrame(nil, encodeHeader(sh.id, n, w.segStart))
-		if _, err := f.Write(frame); err != nil {
-			return fmt.Errorf("rewrite header of segment %d: %w", w.segIndex, err)
-		}
-		w.size = int64(len(frame))
-		if w.fsync != FsyncOff {
-			if err := f.Sync(); err != nil {
-				return fmt.Errorf("sync rewritten header: %w", err)
-			}
-		}
-	}
 	sh.lastCkpt = ckEntries
-	rep.Entries += int64(entries)
+	rep.Entries += int64(r.entries)
 	rep.Requests += sh.reqs
-	rep.Replayed += replayed
+	rep.Replayed += v.replayed
 	if sh.lastSeq > rep.LastSeq {
 		rep.LastSeq = sh.lastSeq
 	}
@@ -486,31 +411,6 @@ func truncateSegment(fs fault.FS, name string, size int64) error {
 	}
 	return f.Close()
 }
-
-// readOneFrame reads a single CRC frame (the checkpoint file format).
-func readOneFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("short frame header: %w", err)
-	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if plen > maxCheckpointBytes {
-		return nil, fmt.Errorf("frame claims %d bytes", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("short frame payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, errors.New("frame crc mismatch")
-	}
-	return payload, nil
-}
-
-// maxCheckpointBytes bounds a checkpoint frame (the key table dominates; a
-// gigabyte of keys is beyond anything this service holds in memory anyway).
-const maxCheckpointBytes = 1 << 30
 
 // reconcileQuotas runs after all shards recovered (partition mode): a crash
 // mid-SetQuotas can leave shards on different quota vectors (each logs the
@@ -533,11 +433,11 @@ func (s *Service) reconcileQuotas() error {
 		if quotasEqual(sh.quotasNow, vec) {
 			continue
 		}
-		seq := s.seq.Add(1)
-		sh.appendQuotaEntry(seq, append([]int(nil), vec...))
-		sh.stepQuotas(vec)
-		if err := sh.wal.flush(time.Now()); err != nil {
-			return fmt.Errorf("cached: shard %d: persist quota reconcile: %w", sh.id, err)
+		// The live quota path: log the switch, step it, group-commit it.
+		sh.applyQuotas(vec)
+		sh.afterBatch(nil)
+		if sh.failed != nil {
+			return fmt.Errorf("persist quota reconcile: %w", sh.failed)
 		}
 	}
 	s.quotas = append(s.quotas[:0], vec...)

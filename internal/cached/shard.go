@@ -2,7 +2,6 @@ package cached
 
 import (
 	"fmt"
-	"path"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,110 +12,6 @@ import (
 	"convexcache/internal/sim"
 	"convexcache/internal/trace"
 )
-
-// LogEntry is one admitted request in a shard's deterministic request log.
-// Seq is the global admission order (strictly increasing within a shard);
-// Page is the shard-assigned page id; Tenant the requesting tenant. The op
-// is deliberately absent — GET and PUT are both write-allocate, so residency
-// evolution and therefore replay depend only on (page, tenant) order.
-//
-// Entries with a non-nil Quotas are control entries (partition mode only):
-// they record the installation of a new global quota vector at this shard's
-// sequence position, so the per-shard replay re-applies quota changes at
-// exactly the step the live engine did. Control entries carry no page.
-type LogEntry struct {
-	Seq    int64
-	Page   trace.PageID
-	Tenant trace.Tenant
-	Quotas []int
-}
-
-// logRec is one in-memory log entry in pointer-free form: 24 bytes, no
-// Quotas slice. A []LogEntry is pointer-bearing through Quotas, which puts a
-// write barrier on every live-path append and rescans the whole log on every
-// GC mark; logRec keeps the hot array out of both.
-type logRec struct {
-	seq    int64
-	page   trace.PageID
-	tenant int32
-	_      int32
-}
-
-// logChunkBits sizes entryLog's fixed chunks: 2^15 records (768 KiB each).
-const logChunkBits = 15
-
-// entryLog stores the active segment's entries as pointer-free records in
-// fixed-size chunks. Chunking means appends never copy and growth produces
-// no garbage — a flat slice either reallocates ~4x the final size over a
-// segment's life (append's large-slice policy) or needs manual doubling
-// copies. Quota control entries are rare (partition-mode control plane), so
-// their vectors live in a small side map keyed by log index.
-type entryLog struct {
-	chunks [][]logRec
-	n      int
-	quotas map[int][]int
-}
-
-func (l *entryLog) len() int { return l.n }
-
-func (l *entryLog) appendReq(seq int64, page trace.PageID, t trace.Tenant) {
-	const mask = 1<<logChunkBits - 1
-	ci := l.n >> logChunkBits
-	if ci == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]logRec, 0, 1<<logChunkBits))
-	}
-	l.chunks[ci] = append(l.chunks[ci], logRec{seq: seq, page: page, tenant: int32(t)})
-	l.n++
-}
-
-func (l *entryLog) appendQuotas(seq int64, quotas []int) {
-	l.appendReq(seq, -1, -1)
-	if l.quotas == nil {
-		l.quotas = make(map[int][]int)
-	}
-	l.quotas[l.n-1] = quotas
-}
-
-func (l *entryLog) append(e LogEntry) {
-	l.appendReq(e.Seq, e.Page, e.Tenant)
-	if e.Quotas != nil {
-		if l.quotas == nil {
-			l.quotas = make(map[int][]int)
-		}
-		l.quotas[l.n-1] = e.Quotas
-	}
-}
-
-func (l *entryLog) at(i int) LogEntry {
-	r := &l.chunks[i>>logChunkBits][i&(1<<logChunkBits-1)]
-	e := LogEntry{Seq: r.seq, Page: r.page, Tenant: trace.Tenant(r.tenant)}
-	if l.quotas != nil {
-		e.Quotas = l.quotas[i]
-	}
-	return e
-}
-
-// reset empties the log keeping the first chunk's capacity (segment
-// rotation).
-func (l *entryLog) reset() {
-	if len(l.chunks) > 1 {
-		l.chunks = l.chunks[:1]
-	}
-	if len(l.chunks) == 1 {
-		l.chunks[0] = l.chunks[0][:0]
-	}
-	l.n = 0
-	l.quotas = nil
-}
-
-// entries materializes the AoS view for snapshots and wire formats.
-func (l *entryLog) entries() []LogEntry {
-	out := make([]LogEntry, l.len())
-	for i := range out {
-		out[i] = l.at(i)
-	}
-	return out
-}
 
 // shardMsg is a mailbox message: a batch to apply (reqs/idxs/results/done
 // set — idxs are this shard's indices into the Apply caller's reqs slice, in
@@ -168,9 +63,9 @@ type ShardSnapshot struct {
 	Hits      []int64
 	Misses    []int64
 	Evictions []int64
-	// Log is the shard's in-memory log tail (the active segment); nil unless
-	// requested.
-	Log []LogEntry
+	// tail views the shard's in-memory log, the active segment's frames, in
+	// place; nil unless requested.
+	tail [][]byte
 	// MRC is the shard sampler's window accounting; nil unless requested
 	// (or the service runs without an estimator).
 	MRC []mrclive.TenantWindow
@@ -211,17 +106,17 @@ type shard struct {
 	// lock-free on the request path.
 	sampler *mrclive.Sampler
 	// keys interns tenant-scoped keys to page ids (one table per tenant).
-	// Shard s assigns ids from the residue class {s, s+n, s+2n, ...}
-	// (nextPage starts at s, steps by n), so page ownership is recoverable
-	// as page mod n at replay time.
-	keys     []keyTable
-	nextPage trace.PageID
-	pages    int
-	// log holds the entries of the active WAL segment only (the whole
-	// history without a WAL); logStart is the logical index of the first
-	// held entry, and steps = logStart + log.len() is the total logical
-	// entry count — also the policy step counter.
-	log      entryLog
+	// Shard s assigns ids from the residue class {s, s+n, s+2n, ...} in
+	// first-appearance order: the page's slot (page−s)/n is the count of
+	// pages before it, so ownership is recoverable as page mod n at replay
+	// time.
+	keys  []keyTable
+	pages int
+	// log holds the frames of the active WAL segment only (the whole
+	// history without a WAL); logStart is the logical index of its first
+	// entry, and steps is the total logical entry count — also the policy
+	// step counter.
+	log      logTail
 	logStart int
 	steps    int
 	// lastSeq is the newest global sequence number this shard admitted;
@@ -244,9 +139,13 @@ type shard struct {
 	// same goroutine).
 	panicErr error
 	cur      *inflight
+	// syncC delivers the idle-sync timer's tick while the interval fsync
+	// policy leaves written bytes unsynced; nil otherwise.
+	syncTimer *time.Timer
+	syncC     <-chan time.Time
 
-	mReqs, mHits, mMisses, mEvictions *obs.Counter
-	mOccupancy, mLog, mMailbox        *obs.Gauge
+	mReqs, mHits, mMisses, mEvictions     *obs.Counter
+	mOccupancy, mLog, mLogBytes, mMailbox *obs.Gauge
 	// pub* are the counter values already published to the registry; the
 	// metrics are brought up to date by delta at batch boundaries instead of
 	// per request, keeping atomics off the request path. Rebuild and
@@ -263,7 +162,6 @@ func newShard(svc *Service, id, k int) (*shard, error) {
 		k:         k,
 		in:        make(chan shardMsg, svc.cfg.MailboxDepth),
 		keys:      make([]keyTable, svc.cfg.Tenants),
-		nextPage:  trace.PageID(id),
 		hits:      make([]int64, svc.cfg.Tenants),
 		misses:    make([]int64, svc.cfg.Tenants),
 		evictions: make([]int64, svc.cfg.Tenants),
@@ -274,8 +172,10 @@ func newShard(svc *Service, id, k int) (*shard, error) {
 		mEvictions: svc.reg.Counter("cached_evictions_total" + lbl),
 		mOccupancy: svc.reg.Gauge("cached_occupancy_pages" + lbl),
 		mLog:       svc.reg.Gauge("cached_log_entries" + lbl),
+		mLogBytes:  svc.reg.Gauge("cached_log_bytes" + lbl),
 		mMailbox:   svc.reg.Gauge("cached_shard_mailbox_depth" + lbl),
 	}
+	sh.resetLog()
 	if err := sh.newEngine(); err != nil {
 		return nil, err
 	}
@@ -287,7 +187,7 @@ func newShard(svc *Service, id, k int) (*shard, error) {
 		sh.sampler, _ = mrclive.NewSampler(mc)
 	}
 	if svc.walCfg != nil {
-		sh.wal = newShardWAL(svc.walCfg, id, svc.cfg.Shards)
+		sh.wal = newShardWAL(svc.walCfg, id)
 	}
 	return sh, nil
 }
@@ -339,13 +239,16 @@ func (sh *shard) loop() {
 	defer sh.svc.wg.Done()
 	for {
 		if sh.serve() {
+			if sh.syncTimer != nil {
+				sh.syncTimer.Stop()
+			}
 			if sh.wal != nil {
 				if sh.failed == nil && !sh.svc.crashed.Load() {
 					sh.sealWAL()
 				} else if sh.wal.f != nil {
-					// Crashed or failed: drop the handle without flushing —
-					// buffered frames are lost exactly as a killed process
-					// would lose them.
+					// Crashed or failed: drop the handle without writing or
+					// syncing — unwritten frames are lost exactly as a
+					// killed process would lose them.
 					sh.wal.f.Close()
 				}
 			}
@@ -360,8 +263,9 @@ func (sh *shard) loop() {
 	}
 }
 
-// serve drains the mailbox; returns true when the mailbox closed (shutdown)
-// and false when a panic escaped the engine (the caller rebuilds).
+// serve drains the mailbox, and syncs the WAL when the idle-sync timer
+// fires; returns true when the mailbox closed (shutdown) and false when a
+// panic escaped the engine (the caller rebuilds).
 func (sh *shard) serve() (closed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -370,10 +274,17 @@ func (sh *shard) serve() (closed bool) {
 			sh.abortInflight()
 		}
 	}()
-	for m := range sh.in {
-		sh.handle(m)
+	for {
+		select {
+		case m, ok := <-sh.in:
+			if !ok {
+				return true
+			}
+			sh.handle(m)
+		case <-sh.syncC:
+			sh.syncIdle()
+		}
 	}
-	return true
 }
 
 // abortInflight answers the message interrupted by a panic: remaining batch
@@ -447,6 +358,7 @@ func (sh *shard) handle(m shardMsg) {
 		}
 	}
 	cur.pos = len(m.idxs)
+	sh.log.closeFrame()
 	if !sh.svc.crashed.Load() {
 		sh.afterBatch(cur)
 		sh.publishMetrics()
@@ -455,27 +367,56 @@ func (sh *shard) handle(m shardMsg) {
 	m.done.Done()
 }
 
-// appendRequest admits one request entry: in-memory log, WAL buffer (group
-// commit — flushed in afterBatch), sequence bookkeeping. The scalar
-// signature keeps a LogEntry (and its nil Quotas slice) off the hot path.
-func (sh *shard) appendRequest(seq int64, page trace.PageID, t trace.Tenant, newKey []byte) {
-	sh.log.appendReq(seq, page, t)
-	sh.steps++
-	sh.lastSeq = seq
-	if sh.wal != nil {
-		sh.wal.appendRequest(seq, page, t, newKey)
-	}
-}
-
 // appendQuotaEntry admits one quota-control entry (partition mode).
 func (sh *shard) appendQuotaEntry(seq int64, quotas []int) {
-	sh.log.appendQuotas(seq, quotas)
+	sh.log.quotas(seq, quotas)
+	sh.noteQuotaEntry(seq)
+}
+
+// noteQuotaEntry is the step bookkeeping of a quota-control entry, shared
+// by the live path and replay.
+func (sh *shard) noteQuotaEntry(seq int64) {
 	sh.steps++
 	sh.lastSeq = seq
 	sh.lastQuotaSeq = seq
-	if sh.wal != nil {
-		sh.wal.appendQuotas(seq, quotas)
+}
+
+// resetLog starts a fresh tail at the current entry: a new chunk list
+// opening with the header frame, so chunks a snapshot still reads are never
+// written again.
+func (sh *shard) resetLog() {
+	sh.log = logTail{}
+	sh.log.commit(encodeHeader(sh.id, len(sh.svc.shards), sh.steps))
+	sh.logStart = sh.steps
+}
+
+// writeLog writes the tail's unwritten frames to the active segment.
+func (sh *shard) writeLog() error { return sh.log.unwritten(sh.wal.write) }
+
+// flushLog is group commit: write the batch's frame from the tail, then
+// apply the fsync policy.
+func (sh *shard) flushLog(now time.Time) error {
+	if err := sh.writeLog(); err != nil {
+		return err
 	}
+	return sh.wal.commit(now)
+}
+
+// openSegment makes segment index the active one and writes the tail's
+// unwritten frames — its header — there, synced unless fsync is off, so
+// the segment is self-describing even if the process dies before the
+// first batch.
+func (sh *shard) openSegment(index int) error {
+	if err := sh.wal.open(index); err != nil {
+		return err
+	}
+	if err := sh.writeLog(); err != nil {
+		return err
+	}
+	if sh.wal.fsync == FsyncOff {
+		return nil
+	}
+	return sh.wal.sync(time.Now())
 }
 
 // afterBatch runs the durability work riding each mailbox batch: group
@@ -487,17 +428,21 @@ func (sh *shard) afterBatch(cur *inflight) {
 	if sh.wal == nil || sh.failed != nil {
 		return
 	}
-	if err := sh.wal.flush(time.Now()); err != nil {
+	now := time.Now()
+	if err := sh.flushLog(now); err != nil {
 		sh.walFail(err, cur)
 		return
 	}
-	if sh.wal.shouldRotate() {
-		if err := sh.wal.rotate(sh.steps); err != nil {
+	if sh.wal.size >= sh.wal.segBytes {
+		err := sh.wal.seal()
+		if err == nil {
+			sh.resetLog()
+			err = sh.openSegment(sh.wal.segIndex + 1)
+		}
+		if err != nil {
 			sh.walFail(err, cur)
 			return
 		}
-		sh.logStart = sh.steps
-		sh.log.reset()
 	}
 	if sh.wal.ckptEvery > 0 && sh.steps-sh.lastCkpt >= sh.wal.ckptEvery {
 		// Advance lastCkpt even on failure so a broken disk is not hammered
@@ -507,6 +452,41 @@ func (sh *shard) afterBatch(cur *inflight) {
 			sh.svc.mWALErrors.Inc()
 		}
 	}
+	sh.armSync(now)
+}
+
+// armSync starts the idle-sync timer when the interval fsync policy leaves
+// written bytes unsynced, so they reach the disk within one interval even
+// if no batch follows. The timer is reset only after its tick has been
+// received, so no stale tick can arrive.
+func (sh *shard) armSync(now time.Time) {
+	w := sh.wal
+	if w.fsync != FsyncInterval || !w.dirty || sh.syncC != nil {
+		return
+	}
+	d := w.syncEvery - now.Sub(w.lastSync)
+	if sh.syncTimer == nil {
+		sh.syncTimer = time.NewTimer(d)
+	} else {
+		sh.syncTimer.Reset(d)
+	}
+	sh.syncC = sh.syncTimer.C
+}
+
+// syncIdle runs on the shard goroutine when the idle-sync timer fires. A
+// failed sync fails the shard, like a failed group commit; after Crash
+// nothing syncs.
+func (sh *shard) syncIdle() {
+	sh.syncC = nil
+	if sh.failed != nil || sh.svc.crashed.Load() {
+		return
+	}
+	now := time.Now()
+	if err := sh.wal.commit(now); err != nil {
+		sh.walFail(err, nil)
+		return
+	}
+	sh.armSync(now)
 }
 
 // walFail marks the shard failed and retracts the current batch's results:
@@ -522,17 +502,22 @@ func (sh *shard) walFail(err error, cur *inflight) {
 	}
 }
 
-// sealWAL is the clean-shutdown path: final checkpoint (if the engine is
-// checkpointable) plus flush/sync/close, so the next start recovers
-// instantly and bit-exactly.
+// sealWAL is the clean-shutdown path: write, sync and close the active
+// segment, then a final checkpoint (if the engine is checkpointable), so the
+// next start recovers instantly and bit-exactly.
 func (sh *shard) sealWAL() {
+	err := sh.writeLog()
+	if err == nil {
+		err = sh.wal.seal()
+	}
+	if err != nil {
+		sh.svc.mWALErrors.Inc()
+		return
+	}
 	if sh.wal.ckptEvery > 0 && sh.steps > sh.lastCkpt {
 		if err := sh.writeCheckpoint(); err != nil {
 			sh.svc.mWALErrors.Inc()
 		}
-	}
-	if err := sh.wal.closeSync(); err != nil {
-		sh.svc.mWALErrors.Inc()
 	}
 }
 
@@ -546,8 +531,7 @@ func (sh *shard) applyQuotas(global []int) {
 	if sh.qlru == nil || sh.failed != nil {
 		return
 	}
-	seq := sh.svc.seq.Add(1)
-	sh.appendQuotaEntry(seq, append([]int(nil), global...))
+	sh.appendQuotaEntry(sh.svc.seq.Add(1), global)
 	sh.stepQuotas(global)
 }
 
@@ -565,11 +549,11 @@ func (sh *shard) stepQuotas(global []int) int {
 	return total
 }
 
-// apply runs one live request through the shard: key interning, log + WAL
-// append under the batch-reserved sequence number seq, then the engine step.
-// Metrics are deliberately absent — publishMetrics reconciles the registry
-// from the shard counters at batch boundaries, keeping atomics off the
-// request path.
+// apply runs one live request through the shard: key interning, the log
+// append under the batch-reserved sequence number seq (the page's slot, plus
+// tenant and key on its first appearance), then the engine step. Metrics are
+// deliberately absent — publishMetrics reconciles the registry from the
+// shard counters at batch boundaries, keeping atomics off the request path.
 func (sh *shard) apply(r *Request, seq int64) byte {
 	if sh.failed != nil {
 		return ResultError
@@ -577,15 +561,16 @@ func (sh *shard) apply(r *Request, seq int64) byte {
 	kt := &sh.keys[r.Tenant]
 	h, pre := hashKey(r.Key)
 	page, seen := kt.lookup(h, pre, r.Key)
-	var newKey []byte
-	if !seen {
-		page = sh.nextPage
-		sh.nextPage += trace.PageID(len(sh.svc.shards))
+	if seen {
+		sh.log.request(seq, int(page)/len(sh.svc.shards), r.Tenant, nil)
+	} else {
+		sh.log.request(seq, sh.pages, r.Tenant, r.Key)
+		page = trace.PageID(sh.id + sh.pages*len(sh.svc.shards))
 		sh.pages++
 		kt.insert(h, pre, r.Key, page)
-		newKey = r.Key
 	}
-	sh.appendRequest(seq, page, r.Tenant, newKey)
+	sh.steps++
+	sh.lastSeq = seq
 	if sh.sampler != nil {
 		sh.sampler.Observe(r.Tenant, page)
 	}
@@ -635,109 +620,103 @@ func (sh *shard) stepRequest(page trace.PageID, t trace.Tenant) (byte, int) {
 	return ResultMiss, 0
 }
 
-// replayEntry re-applies one logged entry during recovery or rebuild. key,
-// when non-nil, is the wire key carried by a first-appearance WAL record;
-// entries replayed from memory pass nil (the key table survived). The
-// engine mutations are exactly the live path's — same functions, same
-// order.
-func (sh *shard) replayEntry(e LogEntry, key []byte) error {
-	if e.Quotas != nil {
-		if sh.qlru == nil {
-			return fmt.Errorf("cached: shard %d: quota control entry (seq %d) outside partition mode", sh.id, e.Seq)
-		}
-		sh.steps++
-		sh.lastSeq = e.Seq
-		sh.lastQuotaSeq = e.Seq
-		sh.stepQuotas(e.Quotas)
+// replay is the logVisitor that feeds a log read back to the shard's own
+// engine and key table, for recovery (which skips the entries its
+// checkpoint covers) and for rebuild after a panic.
+type replay struct {
+	sh       *shard
+	skip     int // entries the checkpoint already covers
+	replayed int64
+}
+
+func (p *replay) request(seq int64, slot int, t trace.Tenant, key []byte) error {
+	if p.skip > 0 {
+		p.skip--
 		return nil
 	}
+	p.replayed++
+	return p.sh.replayRequest(seq, slot, t, key)
+}
+
+func (p *replay) quotas(seq int64, q []int) error {
+	if p.skip > 0 {
+		p.skip--
+		return nil
+	}
+	p.replayed++
+	p.sh.noteQuotaEntry(seq)
+	p.sh.stepQuotas(q)
+	return nil
+}
+
+// replayRequest re-applies one logged request during recovery or rebuild.
+// key, when non-nil, is the page's key on its first appearance, interned at
+// the slot the log gives it, which must be the next one. The engine
+// mutations are exactly the live path's — same functions, same order.
+func (sh *shard) replayRequest(seq int64, slot int, t trace.Tenant, key []byte) error {
+	page := trace.PageID(sh.id + slot*len(sh.svc.shards))
 	if key != nil {
-		kt := &sh.keys[e.Tenant]
+		kt := &sh.keys[t]
 		h, pre := hashKey(key)
-		if _, seen := kt.lookup(h, pre, key); !seen {
-			kt.insert(h, pre, key, e.Page)
-			sh.pages++
-			if next := e.Page + trace.PageID(len(sh.svc.shards)); next > sh.nextPage {
-				sh.nextPage = next
-			}
+		if _, dup := kt.lookup(h, pre, key); dup {
+			return fmt.Errorf("key %q of tenant %d first appears twice", key, t)
 		}
+		if slot != sh.pages {
+			return fmt.Errorf("slot %d first appears with %d pages interned", slot, sh.pages)
+		}
+		kt.insert(h, pre, key, page)
+		sh.pages++
 	}
 	sh.steps++
-	sh.lastSeq = e.Seq
-	sh.stepRequest(e.Page, e.Tenant)
+	sh.lastSeq = seq
+	sh.stepRequest(page, t)
 	return sh.failed
 }
 
-// resetEngine rebuilds a fresh engine and zeroes the replay-derived state
-// (counters, step/sequence bookkeeping). Identity state — key table,
-// nextPage, pages, logs — is left alone; rebuild relies on that.
-func (sh *shard) resetEngine() {
+// reset returns everything a replay of the log derives — the engine,
+// counters, step and sequence bookkeeping, the key table and page count —
+// to its birth state, before recovery or rebuild replays the log. The log
+// itself is left alone.
+func (sh *shard) reset() {
 	sh.failed = sh.newEngine()
 	sh.reqs = 0
 	for t := range sh.hits {
 		sh.hits[t], sh.misses[t], sh.evictions[t] = 0, 0, 0
+		sh.keys[t] = keyTable{}
 	}
-	sh.steps, sh.lastSeq, sh.lastQuotaSeq = 0, 0, 0
+	sh.steps, sh.lastSeq, sh.lastQuotaSeq, sh.pages = 0, 0, 0, 0
 }
 
 // rebuild restores the shard after an engine panic by replaying its own
 // history — sealed WAL segments from disk plus the in-memory tail — through
-// a fresh engine. The key table, page allocator and in-memory log survive
-// panics intact (they are plain data mutated before any engine call), so
-// only the engine and counters are rederived. A second panic during the
-// replay is deterministic and marks the shard permanently failed.
+// a fresh engine, exactly as recovery does. The log survives panics intact
+// (it is plain data appended before any engine call); the entries applied
+// before the panic stay in it, their frame closed first. A second panic
+// during the replay is deterministic and marks the shard permanently
+// failed.
 func (sh *shard) rebuild() {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.failed = fmt.Errorf("cached: shard %d: repeated panic during rebuild: %v (first: %v)", sh.id, r, sh.panicErr)
 		}
 	}()
-	tail := sh.log
-	logStart := sh.logStart
-	sh.resetEngine()
-	if sh.wal != nil && logStart > 0 {
-		if err := sh.replaySealed(); err != nil {
-			sh.failed = fmt.Errorf("cached: shard %d: rebuild from wal after panic (%v): %w", sh.id, sh.panicErr, err)
-			return
-		}
-		if sh.steps != logStart {
-			sh.failed = fmt.Errorf("cached: shard %d: sealed wal replay produced %d entries, in-memory tail starts at %d", sh.id, sh.steps, logStart)
-			return
-		}
+	sh.log.closeFrame()
+	steps := sh.steps
+	sh.reset()
+	r := sh.svc.newLogReader(sh.id)
+	err := sh.failed
+	if err == nil && sh.wal != nil {
+		err = r.sealed(sh.wal.fs, sh.wal.dir, sh.wal.segIndex, &replay{sh: sh})
 	}
-	for i := 0; i < tail.len(); i++ {
-		if err := sh.replayEntry(tail.at(i), nil); err != nil {
-			sh.failed = err
-			return
-		}
+	if err == nil {
+		err = r.tail(sh.log.chunks, &replay{sh: sh})
 	}
-}
-
-// replaySealed streams every sealed segment (index < active) through
-// replayEntry. Sealed segments are immutable and were validated at write or
-// recovery time, so corruption here is a hard error, never a truncation.
-func (sh *shard) replaySealed() error {
-	w := sh.wal
-	for idx := 0; idx < w.segIndex; idx++ {
-		rc, err := w.fs.Open(path.Join(w.dir, segName(idx)))
-		if err != nil {
-			return err
-		}
-		_, torn, serr := scanSegment(rc, func(rec walRecord) error {
-			if rec.kind == recHeader {
-				return nil
-			}
-			return sh.replayEntry(rec.entry, rec.key)
-		})
-		rc.Close()
-		if serr != nil {
-			return fmt.Errorf("sealed segment %d: %w", idx, serr)
-		}
-		if torn {
-			return fmt.Errorf("sealed segment %d has a torn tail", idx)
-		}
+	if err == nil && sh.steps != steps {
+		err = fmt.Errorf("replay produced %d entries, the shard had %d", sh.steps, steps)
 	}
-	return nil
+	if err != nil {
+		sh.failed = fmt.Errorf("cached: shard %d: rebuild after panic (%v): %w", sh.id, sh.panicErr, err)
+	}
 }
 
 // occupancy is the active engine's resident page count.
@@ -771,19 +750,22 @@ func (sh *shard) publishMetrics() {
 	sh.pubReqs, sh.pubHits, sh.pubMisses, sh.pubEvictions = sh.reqs, h, m, e
 	sh.mOccupancy.Set(int64(sh.occupancy()))
 	sh.mLog.Set(int64(sh.steps))
+	sh.mLogBytes.Set(int64(sh.log.bytes))
 	sh.mMailbox.Set(int64(len(sh.in)))
 }
 
-// snapshot copies the shard's accounting. Called from the loop goroutine
-// while serving, or from snapshotAll after the loop has exited.
+// snapshot copies the shard's accounting; the log is handed over as views
+// of the tail's chunks, not copied. Called from the loop goroutine while
+// serving, or from snapshotAll after the loop has exited.
 func (sh *shard) snapshot(withLog, withMRC bool) *ShardSnapshot {
+	sh.log.closeFrame()
 	snap := &ShardSnapshot{
 		Shard:     sh.id,
 		K:         sh.k,
 		Requests:  sh.reqs,
 		Occupancy: sh.occupancy(),
 		LogStart:  sh.logStart,
-		LogLen:    sh.log.len(),
+		LogLen:    sh.steps - sh.logStart,
 		Pages:     sh.pages,
 		Down:      sh.down.Load(),
 		Hits:      append([]int64(nil), sh.hits...),
@@ -795,7 +777,9 @@ func (sh *shard) snapshot(withLog, withMRC bool) *ShardSnapshot {
 		snap.Seg = sh.wal.segIndex
 	}
 	if withLog {
-		snap.Log = sh.log.entries()
+		// The shard may append past the views' ends but never writes
+		// inside them.
+		snap.tail = append([][]byte(nil), sh.log.chunks...)
 	}
 	if withMRC && sh.sampler != nil {
 		snap.MRC = sh.sampler.Snapshot()

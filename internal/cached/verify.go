@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path"
 	"sync"
 	"time"
 
@@ -100,141 +99,122 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	return rep, nil
 }
 
-// replayShard replays one shard's complete log and returns the per-tenant
-// counters it reproduces, in snapshot form. One pass checks every entry —
-// sequence numbers strictly increasing, the page in the shard's residue
-// class, the tenant in range, one owner per page — and feeds the engine
+// replayShard replays one shard's complete log — its sealed WAL segments,
+// streamed from disk (immutable once rotated, so safe under live traffic),
+// then the snapshot's view of the in-memory tail, read where it lies — and
+// returns the per-tenant counters it reproduces, in snapshot form. The log
+// reader validates every frame as it goes, and the replayer feeds the engine
 // the live shard ran: quotaLRU in partition mode (quota control entries
 // re-applied at their logged positions), the batched dense engine for a
 // sim.DensePolicy (over a trace.Dense view of the log), and sim's map step
 // for any other policy (which New allows only with one shard), the latter
-// two at the shard's capacity share. The context is checked on entry, per
-// sealed segment and every 65,536 entries, and by the dense engine as it
-// runs.
+// two at the shard's capacity share. The context is checked on entry and
+// every 65,536 entries, and by the dense engine as it runs.
 func (s *Service) replayShard(ctx context.Context, snap *ShardSnapshot) (*ShardSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cached: verify aborted: %w", err)
 	}
 	id, n, tenants := snap.Shard, len(s.shards), s.cfg.Tenants
 	k := sim.ShardShare(s.cfg.K, n, id)
-	r := &ShardSnapshot{Shard: id, Hits: make([]int64, tenants),
-		Misses: make([]int64, tenants), Evictions: make([]int64, tenants)}
-	entries := snap.LogStart + len(snap.Log)
-	var (
-		q     *quotaLRU
-		dense sim.DensePolicy
-		mc    *sim.MapCache
-	)
+	p := &replayer{ctx: ctx, id: id, n: n, r: &ShardSnapshot{Shard: id, Hits: make([]int64, tenants),
+		Misses: make([]int64, tenants), Evictions: make([]int64, tenants)}}
+	entries := snap.LogStart + snap.LogLen
 	if s.cfg.Quotas != nil {
-		q = newQuotaLRU(localQuotas(s.cfg.Quotas, n, id), n, id)
+		p.q = newQuotaLRU(localQuotas(s.cfg.Quotas, n, id), n, id)
 	} else {
-		p := s.cfg.NewPolicy()
-		if dp, ok := p.(sim.DensePolicy); ok {
-			dense = dp
+		pol := s.cfg.NewPolicy()
+		if dp, ok := pol.(sim.DensePolicy); ok {
+			p.dense = dp
+			p.slots = make([]int32, 0, entries)
 		} else {
-			mc = sim.NewMapCache(p, k)
+			p.mc = sim.NewMapCache(pol, k)
 		}
 	}
-	// d is the shard's log as a dense view indexed by residue-class slot
-	// (page−id)/n, the record index the live core.Open uses; Owners[slot]
-	// is -1 until the slot's page first appears. The shard's interned-page
-	// count sizes the tables; requests are only collected when the dense
-	// engine replays them.
-	d := &trace.Dense{
-		Pages:   make([]trace.PageID, 0, snap.Pages),
-		Owners:  make([]trace.Tenant, 0, snap.Pages),
-		Tenants: tenants,
+	fail := func(err error) (*ShardSnapshot, error) {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("cached: verify aborted: %w", ctx.Err())
+		}
+		return nil, fmt.Errorf("cached: shard %d: %w", id, err)
 	}
-	if dense != nil {
-		d.Reqs = make([]int32, 0, entries)
-	}
-	lastSeq := int64(-1)
-	next := 0 // index of the next log entry
-	step := func(e LogEntry) error {
-		i := next
-		next++
-		if i%65536 == 0 && ctx.Err() != nil {
-			return fmt.Errorf("cached: verify aborted: %w", ctx.Err())
-		}
-		if e.Seq <= lastSeq {
-			return fmt.Errorf("cached: shard %d log entry %d: seq %d not increasing (prev %d)", id, i, e.Seq, lastSeq)
-		}
-		lastSeq = e.Seq
-		if e.Quotas != nil {
-			if q == nil {
-				return fmt.Errorf("cached: shard %d log entry %d: quota control entry outside partition mode", id, i)
-			}
-			for t, ev := range q.SetQuotas(localQuotas(e.Quotas, n, id)) {
-				r.Evictions[t] += int64(ev)
-			}
-			return nil
-		}
-		if e.Tenant < 0 || int(e.Tenant) >= tenants {
-			return fmt.Errorf("cached: shard %d log entry %d: tenant %d out of range [0,%d)", id, i, e.Tenant, tenants)
-		}
-		slot := int(e.Page) / n
-		if e.Page < 0 || int(e.Page)-slot*n != id {
-			return fmt.Errorf("cached: shard %d log entry %d: page %d outside residue class %d mod %d", id, i, e.Page, id, n)
-		}
-		// Slots are assigned in order as pages are first interned, so every
-		// slot is below the log's entry count; a larger one is corruption
-		// and must not size the tables.
-		if slot >= entries {
-			return fmt.Errorf("cached: shard %d log entry %d: page %d has slot %d past the log's %d entries", id, i, e.Page, slot, entries)
-		}
-		for j := len(d.Owners); j <= slot; j++ {
-			d.Pages = append(d.Pages, trace.PageID(id+j*n))
-			d.Owners = append(d.Owners, -1)
-		}
-		switch owner := d.Owners[slot]; {
-		case owner < 0:
-			d.Owners[slot] = e.Tenant
-		case owner != e.Tenant:
-			return fmt.Errorf("cached: shard %d log entry %d: page %d of tenant %d requested by tenant %d", id, i, e.Page, owner, e.Tenant)
-		}
-		switch {
-		case dense != nil:
-			// Hits holds the tenant's requests until the engine's misses
-			// are subtracted below.
-			r.Hits[e.Tenant]++
-			d.Reqs = append(d.Reqs, int32(slot))
-		case q != nil:
-			hit, evicted := q.Access(e.Tenant, e.Page)
-			r.count(e.Tenant, hit, evicted, e.Tenant)
-		default:
-			hit, _, owner, err := mc.Access(i, trace.Request{Page: e.Page, Tenant: e.Tenant})
-			if err != nil {
-				return fmt.Errorf("cached: shard %d: replaying request log: %w", id, err)
-			}
-			r.count(e.Tenant, hit, owner >= 0, owner)
-		}
-		return nil
-	}
-	// Sealed WAL segments stream from disk (they are immutable once
-	// rotated, so this is safe under live traffic), then the in-memory
-	// tail — together the shard's complete history.
-	if err := s.sealedEntries(ctx, snap, step); err != nil {
-		return nil, err
-	}
-	for _, e := range snap.Log {
-		if err := step(e); err != nil {
-			return nil, err
+	r := s.newLogReader(id)
+	if snap.Seg > 0 {
+		if err := r.sealed(s.walCfg.FS, shardDirName(s.walCfg.Dir, id), snap.Seg, p); err != nil {
+			return fail(err)
 		}
 	}
-	if dense != nil {
-		res, err := sim.RunDense(ctx, d, dense, sim.Config{K: k})
+	if err := r.tail(snap.tail, p); err != nil {
+		return fail(err)
+	}
+	if r.entries != entries {
+		return fail(fmt.Errorf("log holds %d entries, the snapshot %d", r.entries, entries))
+	}
+	if p.dense != nil {
+		// The dense view indexes pages by residue-class slot (page−id)/n, the
+		// record index the live core.Open uses; the reader collected each
+		// slot's owner.
+		d := &trace.Dense{Pages: make([]trace.PageID, len(r.owners)), Owners: r.owners, Reqs: p.slots, Tenants: tenants}
+		for j := range d.Pages {
+			d.Pages[j] = trace.PageID(id + j*n)
+		}
+		res, err := sim.RunDense(ctx, d, p.dense, sim.Config{K: k})
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("cached: verify aborted: %w", ctx.Err())
-			}
-			return nil, fmt.Errorf("cached: shard %d: replaying request log: %w", id, err)
+			return fail(fmt.Errorf("replaying request log: %w", err))
 		}
-		for t := range r.Hits {
-			r.Hits[t] -= res.Misses[t]
+		for t := range p.r.Hits {
+			p.r.Hits[t] -= res.Misses[t]
 		}
-		r.Misses, r.Evictions = res.Misses, res.Evictions
+		p.r.Misses, p.r.Evictions = res.Misses, res.Evictions
 	}
-	return r, nil
+	return p.r, nil
+}
+
+// replayer is Verify's logVisitor: it steps one shard's log through a fresh
+// engine of the shard's kind, exactly one of q, dense and mc, and counts
+// into r.
+type replayer struct {
+	ctx   context.Context
+	id, n int
+	q     *quotaLRU
+	dense sim.DensePolicy
+	mc    *sim.MapCache
+	// slots collects the requests for the dense engine, which runs once
+	// the whole log is read.
+	slots []int32
+	i     int // log entries seen
+	r     *ShardSnapshot
+}
+
+func (p *replayer) request(_ int64, slot int, t trace.Tenant, _ []byte) error {
+	i := p.i
+	p.i++
+	if i%65536 == 0 && p.ctx.Err() != nil {
+		return p.ctx.Err()
+	}
+	switch {
+	case p.dense != nil:
+		// Hits holds the tenant's requests until the engine's misses are
+		// subtracted.
+		p.r.Hits[t]++
+		p.slots = append(p.slots, int32(slot))
+	case p.q != nil:
+		hit, evicted := p.q.Access(t, trace.PageID(p.id+slot*p.n))
+		p.r.count(t, hit, evicted, t)
+	default:
+		hit, _, owner, err := p.mc.Access(i, trace.Request{Page: trace.PageID(p.id + slot*p.n), Tenant: t})
+		if err != nil {
+			return fmt.Errorf("replaying request log: %w", err)
+		}
+		p.r.count(t, hit, owner >= 0, owner)
+	}
+	return nil
+}
+
+func (p *replayer) quotas(_ int64, q []int) error {
+	p.i++
+	for t, ev := range p.q.SetQuotas(localQuotas(q, p.n, p.id)) {
+		p.r.Evictions[t] += int64(ev)
+	}
+	return nil
 }
 
 // count records one replayed request of tenant t: a hit, or a miss that
@@ -248,52 +228,6 @@ func (r *ShardSnapshot) count(t trace.Tenant, hit, evicted bool, owner trace.Ten
 	if evicted {
 		r.Evictions[owner]++
 	}
-}
-
-// sealedEntries streams the sealed (pre-tail) portion of one shard's log
-// from its WAL segments, in order, invoking fn per entry. Segments below
-// the snapshot's active index are sealed and immutable, so reading them
-// concurrently with live writes is safe; the entry count must come out at
-// exactly snap.LogStart or the history is incomplete.
-func (s *Service) sealedEntries(ctx context.Context, snap *ShardSnapshot, fn func(LogEntry) error) error {
-	if snap.LogStart == 0 {
-		return nil
-	}
-	if s.walCfg == nil {
-		return fmt.Errorf("cached: shard %d log starts at %d with no WAL to stream the prefix from", snap.Shard, snap.LogStart)
-	}
-	dir := shardDirName(s.walCfg.Dir, snap.Shard)
-	count := 0
-	for idx := 0; idx < snap.Seg; idx++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cached: verify aborted: %w", err)
-		}
-		rc, err := s.walCfg.FS.Open(path.Join(dir, segName(idx)))
-		if err != nil {
-			return fmt.Errorf("cached: shard %d: open sealed segment %d: %w", snap.Shard, idx, err)
-		}
-		_, torn, serr := scanSegment(rc, func(rec walRecord) error {
-			if rec.kind == recHeader {
-				return nil
-			}
-			if count >= snap.LogStart {
-				return fmt.Errorf("cached: shard %d: sealed segments hold more than %d entries", snap.Shard, snap.LogStart)
-			}
-			count++
-			return fn(rec.entry)
-		})
-		rc.Close()
-		if serr != nil {
-			return serr
-		}
-		if torn {
-			return fmt.Errorf("cached: shard %d: sealed segment %d has a torn tail", snap.Shard, idx)
-		}
-	}
-	if count != snap.LogStart {
-		return fmt.Errorf("cached: shard %d: sealed segments hold %d entries, snapshot expects %d", snap.Shard, count, snap.LogStart)
-	}
-	return nil
 }
 
 // sumCounters sums per-shard counters, live or replayed; a tenant's requests

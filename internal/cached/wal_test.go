@@ -54,80 +54,145 @@ func requireClean(t *testing.T, svc *Service) {
 	}
 }
 
-// TestWALCodecRoundtrip pins the frame/record codec: everything the writer
-// emits, scanSegment hands back bit-identically.
-func TestWALCodecRoundtrip(t *testing.T) {
-	var buf []byte
-	buf = appendFrame(buf, encodeHeader(2, 4, 117))
-	buf = appendFrame(buf, encodeRequest(nil, 5, 42, 1, []byte("hello-key")))
-	buf = appendFrame(buf, encodeRequest(nil, 6, 42, 1, nil))
-	buf = appendFrame(buf, encodeQuotas(nil, 7, []int{3, 0, 9}))
+// logEntry is one entry a logReader handed its visitor.
+type logEntry struct {
+	seq    int64
+	slot   int
+	tenant trace.Tenant
+	key    string
+	quotas []int
+}
 
-	var recs []walRecord
-	valid, torn, err := scanSegment(bytes.NewReader(buf), func(r walRecord) error {
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil || torn {
-		t.Fatalf("scan: err=%v torn=%v", err, torn)
+// collect is a logVisitor that records every entry.
+type collect []logEntry
+
+func (c *collect) request(seq int64, slot int, t trace.Tenant, key []byte) error {
+	*c = append(*c, logEntry{seq: seq, slot: slot, tenant: t, key: string(key)})
+	return nil
+}
+
+func (c *collect) quotas(seq int64, q []int) error {
+	*c = append(*c, logEntry{seq: seq, slot: -1, tenant: -1, quotas: append([]int(nil), q...)})
+	return nil
+}
+
+// testReader is a log reader for shard of shards with three tenants and
+// K=12, in partition mode.
+func testReader(shard, shards int) *logReader {
+	return &logReader{shard: shard, shards: shards, tenants: 3, k: 12, partition: true}
+}
+
+// TestWALCodecRoundtrip pins the log codec: what the tail encodes — a
+// header, batch frames of first appearances and repeats, a quota frame —
+// both readers (segment bytes and the tail's chunks in place) hand back
+// entry for entry, and the bytes a live shard writes to its active segment
+// are exactly its in-memory tail.
+func TestWALCodecRoundtrip(t *testing.T) {
+	var l logTail
+	l.commit(encodeHeader(2, 4, 0))
+	l.request(5, 0, 1, []byte("hello-key"))
+	l.request(6, 1, 2, []byte("k2"))
+	l.request(7, 0, 1, nil)
+	l.closeFrame()
+	l.quotas(9, []int{3, 0, 9})
+	l.request(10, 1, 2, nil)
+	l.closeFrame()
+	// A seq gap closes the open frame by itself.
+	l.request(12, 1, 2, nil)
+	l.request(14, 2, 0, []byte("third"))
+	l.closeFrame()
+
+	want := collect{
+		{5, 0, 1, "hello-key", nil}, {6, 1, 2, "k2", nil}, {7, 0, 1, "", nil},
+		{9, -1, -1, "", []int{3, 0, 9}}, {10, 1, 2, "", nil},
+		{12, 1, 2, "", nil}, {14, 2, 0, "third", nil},
 	}
-	if valid != int64(len(buf)) {
-		t.Fatalf("valid prefix %d, wrote %d", valid, len(buf))
+	var seg []byte
+	for _, c := range l.chunks {
+		seg = append(seg, c...)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("decoded %d records", len(recs))
+	if len(seg) != l.bytes {
+		t.Fatalf("tail counts %d bytes, chunks hold %d", l.bytes, len(seg))
 	}
-	h := recs[0]
-	if h.kind != recHeader || h.version != walVersion || h.shard != 2 || h.shards != 4 || h.startEntry != 117 {
-		t.Errorf("header = %+v", h)
+	var got collect
+	r := testReader(2, 4)
+	valid, torn, err := r.segment(bytes.NewReader(seg), 0, &got, nil)
+	if err != nil || torn || valid != int64(len(seg)) {
+		t.Fatalf("segment: valid=%d of %d torn=%v err=%v", valid, len(seg), torn, err)
 	}
-	r1 := recs[1]
-	if r1.kind != recRequest || r1.entry.Seq != 5 || r1.entry.Page != 42 || r1.entry.Tenant != 1 || string(r1.key) != "hello-key" {
-		t.Errorf("request = %+v", r1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("segment entries:\n got %+v\nwant %+v", got, want)
 	}
-	if recs[2].key != nil {
-		t.Errorf("repeat request carries key %q", recs[2].key)
+	if r.entries != len(want) || r.lastSeq != 14 || !reflect.DeepEqual(r.owners, []trace.Tenant{1, 2, 0}) {
+		t.Errorf("reader state: entries %d lastSeq %d owners %v", r.entries, r.lastSeq, r.owners)
 	}
-	q := recs[3]
-	if q.kind != recQuotas || q.entry.Seq != 7 || !reflect.DeepEqual(q.entry.Quotas, []int{3, 0, 9}) {
-		t.Errorf("quotas = %+v", q)
+	got = nil
+	if err := testReader(2, 4).tail(l.chunks, &got); err != nil {
+		t.Fatalf("tail: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tail entries:\n got %+v\nwant %+v", got, want)
+	}
+
+	// One shape: a live shard's active segment on disk is its tail.
+	dir := t.TempDir()
+	svc := newWALService(t, Config{K: 64, Shards: 2, Tenants: 3, NewPolicy: testPolicy,
+		WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, SegmentBytes: 4096, CheckpointEvery: -1}})
+	applyAll(t, svc, genRequests(3, 3, 300, 6000), 64)
+	svc.Close()
+	for _, sh := range svc.shards {
+		disk, err := os.ReadFile(filepath.Join(sh.wal.dir, segName(sh.wal.segIndex)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mem []byte
+		for _, c := range sh.log.chunks {
+			mem = append(mem, c...)
+		}
+		if sh.wal.segIndex == 0 || !bytes.Equal(disk, mem) {
+			t.Fatalf("shard %d: segment %d holds %d bytes, the tail %d (equal %v)", sh.id, sh.wal.segIndex, len(disk), len(mem), bytes.Equal(disk, mem))
+		}
 	}
 }
 
-// TestScanSegmentTornAndCorrupt pins the torn-tail contract of the frame
-// scanner: any truncation or bit flip past the valid prefix is reported as
+// TestScanSegmentTornAndCorrupt pins the torn-tail contract of the segment
+// reader: any truncation or bit flip past the valid prefix is reported as
 // torn with the prefix length, never as decoded garbage.
 func TestScanSegmentTornAndCorrupt(t *testing.T) {
-	var buf []byte
-	buf = appendFrame(buf, encodeHeader(0, 1, 0))
-	first := len(buf)
-	buf = appendFrame(buf, encodeRequest(nil, 1, 0, 0, []byte("k1")))
-	second := len(buf)
-	buf = appendFrame(buf, encodeRequest(nil, 2, 0, 0, []byte("k2")))
+	var l logTail
+	l.commit(encodeHeader(0, 1, 0))
+	first := l.bytes
+	l.request(1, 0, 0, []byte("k1"))
+	l.closeFrame()
+	second := l.bytes
+	l.request(2, 1, 0, []byte("k2"))
+	l.request(3, 0, 0, nil)
+	l.closeFrame()
+	buf := l.chunks[0]
 
 	// Truncate at every byte boundary inside the last frame: the first two
 	// frames must survive, the rest must be reported torn.
 	for cut := second + 1; cut < len(buf); cut++ {
-		n := 0
-		valid, torn, err := scanSegment(bytes.NewReader(buf[:cut]), func(walRecord) error { n++; return nil })
+		var got collect
+		valid, torn, err := testReader(0, 1).segment(bytes.NewReader(buf[:cut]), 0, &got, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if !torn || valid != int64(second) || n != 2 {
-			t.Fatalf("cut=%d: torn=%v valid=%d records=%d", cut, torn, valid, n)
+		if !torn || valid != int64(second) || len(got) != 1 {
+			t.Fatalf("cut=%d: torn=%v valid=%d entries=%d", cut, torn, valid, len(got))
 		}
 	}
 	// Flip one byte inside the middle frame's payload: CRC must catch it and
-	// stop the scan at the first frame.
+	// stop the read at the header.
 	bad := append([]byte(nil), buf...)
 	bad[first+frameHeaderBytes+1] ^= 0x40
-	n := 0
-	valid, torn, err := scanSegment(bytes.NewReader(bad), func(walRecord) error { n++; return nil })
+	var got collect
+	valid, torn, err := testReader(0, 1).segment(bytes.NewReader(bad), 0, &got, nil)
 	if err != nil {
 		t.Fatalf("flip: %v", err)
 	}
-	if !torn || valid != int64(first) || n != 1 {
-		t.Fatalf("flip: torn=%v valid=%d records=%d", torn, valid, n)
+	if !torn || valid != int64(first) || len(got) != 0 {
+		t.Fatalf("flip: torn=%v valid=%d entries=%d", torn, valid, len(got))
 	}
 }
 
@@ -607,4 +672,72 @@ func TestPanicIsolation(t *testing.T) {
 		t.Errorf("post-rebuild recovery diverges:\n got %+v\nwant %+v", got, before)
 	}
 	requireClean(t, svc2)
+}
+
+// syncClock wraps an FS and records when the WAL last wrote and synced.
+type syncClock struct {
+	fault.FS
+	lastWrite, lastSync, syncs atomic.Int64
+}
+
+func (c *syncClock) Append(name string) (fault.File, error) {
+	f, err := c.FS.Append(name)
+	if err != nil {
+		return nil, err
+	}
+	return &syncClockFile{File: f, c: c}, nil
+}
+
+type syncClockFile struct {
+	fault.File
+	c *syncClock
+}
+
+func (f *syncClockFile) Write(p []byte) (int, error) {
+	f.c.lastWrite.Store(time.Now().UnixNano())
+	return f.File.Write(p)
+}
+
+func (f *syncClockFile) Sync() error {
+	err := f.File.Sync()
+	f.c.lastSync.Store(time.Now().UnixNano())
+	f.c.syncs.Add(1)
+	return err
+}
+
+// TestFsyncIntervalSyncsWhenIdle pins the interval policy's bound when
+// traffic stops: two batches back to back, then nothing — the second must
+// still be synced within the interval (plus scheduling slack), not wait
+// for the next batch. After Crash nothing syncs.
+func TestFsyncIntervalSyncsWhenIdle(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	clk := &syncClock{FS: fault.OSFS}
+	svc := newWALService(t, Config{K: 16, Shards: 1, Tenants: 1, NewPolicy: testPolicy,
+		WAL: &WALConfig{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncInterval: interval, FS: clk}})
+	for _, key := range []string{"a", "b"} {
+		if _, err := svc.Apply([]Request{{Op: OpPut, Key: []byte(key)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrote := time.Unix(0, clk.lastWrite.Load())
+	deadline := wrote.Add(interval + 50*time.Millisecond)
+	for clk.lastSync.Load() < clk.lastWrite.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the last batch is still unsynced %v after its write (%d syncs)", time.Since(wrote), clk.syncs.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if synced := time.Unix(0, clk.lastSync.Load()); synced.After(deadline) {
+		t.Fatalf("the last batch synced %v after its write, bound %v", synced.Sub(wrote), interval+50*time.Millisecond)
+	}
+
+	if _, err := svc.Apply([]Request{{Op: OpPut, Key: []byte("c")}}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Crash()
+	syncs := clk.syncs.Load()
+	time.Sleep(5 * interval)
+	if got := clk.syncs.Load(); got != syncs {
+		t.Fatalf("%d syncs after Crash", got-syncs)
+	}
 }
