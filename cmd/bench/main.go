@@ -471,7 +471,7 @@ func verifyBench(reqs []cached.Request, tenants int, costs []costfn.Func) Result
 	svc, err := cached.New(cached.Config{
 		K: 4096, Shards: 2, Tenants: tenants,
 		NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
-		WAL:       &cached.WALConfig{Dir: dir, Fsync: cached.FsyncOff, SegmentBytes: 256 << 10, CheckpointEvery: -1},
+		WAL:       &cached.WALConfig{Dir: dir, Fsync: cached.FsyncOff, SegmentBytes: 256 << 10},
 	})
 	if err != nil {
 		fatal(err)

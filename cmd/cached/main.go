@@ -20,7 +20,9 @@
 // in-flight requests, freezes the shards, and — with -verify-on-shutdown
 // (default true) — replays every shard's request log through the simulator
 // and exits nonzero on any per-tenant counter divergence: a crash-free exit is a
-// correctness certificate for the whole serving session.
+// correctness certificate for the whole serving session. With -wal DIR every
+// shard journals its log before acknowledging; -recover restarts from that
+// directory by replaying each shard's whole log, the shards in parallel.
 //
 //	cached drive -target http://127.0.0.1:8090 -requests 500000 \
 //	       -clients 8 -stream zipf:4000,1.2 -stream uniform:2000
@@ -115,7 +117,6 @@ func runServe(args []string) int {
 		fsyncMode     = fs.String("fsync", "interval", "WAL fsync policy: always, interval or off")
 		fsyncEvery    = fs.Duration("fsync-interval", 0, "max unsynced window under -fsync interval (0 = 50ms)")
 		segBytes      = fs.Int64("segment-bytes", 0, "WAL segment rotation size in bytes (0 = 8MiB)")
-		ckptEvery     = fs.Int("checkpoint-every", 0, "checkpoint every N log entries per shard (0 = default, negative disables)")
 		walFault      = fs.String("wal-fault", "", "deterministic WAL fault spec, e.g. seed=1,write_err_p=0.01,crash_at=5000 (chaos testing)")
 		crashAfter    = fs.Duration("crash-after", 0, "chaos: SIGKILL this process after the given duration (simulated kill -9)")
 		verifyTimeout = fs.Duration("verify-timeout", 0, "shutdown-verify deadline; exceeding it exits with code 3 (0 = no deadline)")
@@ -183,12 +184,11 @@ func runServe(args []string) int {
 	}
 	if *walDir != "" {
 		w := &cached.WALConfig{
-			Dir:             *walDir,
-			Fsync:           cached.FsyncPolicy(*fsyncMode),
-			FsyncInterval:   *fsyncEvery,
-			SegmentBytes:    *segBytes,
-			CheckpointEvery: *ckptEvery,
-			Recover:         *walRecover,
+			Dir:           *walDir,
+			Fsync:         cached.FsyncPolicy(*fsyncMode),
+			FsyncInterval: *fsyncEvery,
+			SegmentBytes:  *segBytes,
+			Recover:       *walRecover,
 		}
 		if *walFault != "" {
 			fcfg, err := fault.ParseFSSpec(*walFault)
@@ -220,7 +220,6 @@ func runServe(args []string) int {
 	if rep := svc.Recovery(); rep != nil {
 		logger.Info("recovered from WAL", "wal", *walDir,
 			"shards", rep.Shards, "entries", rep.Entries, "requests", rep.Requests,
-			"replayed", rep.Replayed, "checkpoints", rep.Checkpoints,
 			"truncations", rep.Truncations, "last_seq", rep.LastSeq)
 	}
 

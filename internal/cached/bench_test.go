@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"convexcache/internal/core"
 	"convexcache/internal/costfn"
 	"convexcache/internal/sim"
 	"convexcache/internal/trace"
+	"convexcache/internal/workload"
 )
 
 // benchRequests builds a zipf-ish multi-tenant request stream in wire shape.
@@ -80,7 +82,7 @@ func BenchmarkVerify(b *testing.B) {
 	svc, err := New(Config{
 		K: 4096, Shards: 2, Tenants: 4,
 		NewPolicy: benchPolicy,
-		WAL:       &WALConfig{Dir: b.TempDir(), Fsync: FsyncOff, SegmentBytes: 64 << 10, CheckpointEvery: -1},
+		WAL:       &WALConfig{Dir: b.TempDir(), Fsync: FsyncOff, SegmentBytes: 64 << 10},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -109,4 +111,70 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkRecover times startup recovery of a 2-shard, K=4096 ALG service
+// from a WAL of 2^22 requests on the real filesystem, written in 1024-key
+// batches of the cachebench bulk workload's shape: its four tenant streams,
+// picked uniformly, keys "p<n>", under the default interval fsync. The WAL
+// is built once per sub-benchmark: crashed ends the writing service with
+// Crash, closed with a clean Close. One op is one New with Recover; it is
+// followed, untimed, by Crash, so nothing is written between ops and every
+// op recovers the same directory.
+func BenchmarkRecover(b *testing.B) {
+	const n, batch = 1 << 22, 1024
+	specs := []string{"zipf:8192,0.9", "zipf:8192,1.1", "uniform:4096", "hotset:4096,64,0.9,5000"}
+	for _, name := range []string{"crashed", "closed"} {
+		cfg := Config{K: 4096, Shards: 2, Tenants: len(specs), NewPolicy: benchPolicy,
+			WAL: &WALConfig{Dir: b.TempDir()}}
+		svc, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams := make([]workload.Stream, len(specs))
+		for t, spec := range specs {
+			if streams[t], _, err = workload.ParseStream(spec, int64(1+t*1001)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		reqs := make([]Request, batch)
+		arena := make([]byte, 0, 16*batch)
+		for sent := 0; sent < n; sent += batch {
+			arena = arena[:0]
+			for i := range reqs {
+				t := rng.Intn(len(specs))
+				start := len(arena)
+				arena = strconv.AppendInt(append(arena, 'p'), streams[t].Next(), 10)
+				reqs[i] = Request{Op: OpGet, Tenant: trace.Tenant(t), Key: arena[start:len(arena):len(arena)]}
+			}
+			if _, err := svc.Apply(reqs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if name == "crashed" {
+			svc.Crash()
+		} else {
+			svc.Close()
+		}
+		b.Run(name, func(b *testing.B) {
+			rcfg := cfg
+			w := *cfg.WAL
+			w.Recover = true
+			rcfg.WAL = &w
+			for i := 0; i < b.N; i++ {
+				r, err := New(rcfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := r.Recovery().Entries; got != n {
+					b.Fatalf("recovered %d entries, want %d", got, n)
+				}
+				r.Crash()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/entry")
+		})
+	}
 }

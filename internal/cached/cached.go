@@ -55,7 +55,7 @@ type Request struct {
 	// Tenant is the requesting tenant; must be in [0, Config.Tenants).
 	Tenant trace.Tenant
 	// Key is the tenant-scoped cache key (two tenants may use the same key
-	// for distinct pages). Must be non-empty.
+	// for distinct pages). Must be 1..MaxKeyLen bytes.
 	Key []byte
 }
 
@@ -151,7 +151,7 @@ type Service struct {
 
 	// walCfg is the normalized WAL configuration (nil when durability is
 	// off); crashed simulates kill -9 (Crash): queued work is shed and the
-	// final flush/checkpoint skipped. recovery summarizes the startup
+	// final write and sync skipped. recovery summarizes the startup
 	// recovery, if one ran.
 	walCfg   *WALConfig
 	crashed  atomic.Bool
@@ -161,9 +161,8 @@ type Service struct {
 	mQuota, mWindowReqs, mMissRatioBP []*obs.Gauge
 	mRebalances                       *obs.Counter
 	// Robustness counters: shards taken down by panics, successful
-	// restarts, shed requests, WAL/checkpoint activity.
-	mShardDown, mShardRestarts, mShed *obs.Counter
-	mWALErrors, mCheckpoints          *obs.Counter
+	// restarts, shed requests, WAL errors.
+	mShardDown, mShardRestarts, mShed, mWALErrors *obs.Counter
 }
 
 // New validates the configuration, starts the shard goroutines and returns
@@ -235,7 +234,6 @@ func New(cfg Config) (*Service, error) {
 	s.mShardRestarts = reg.Counter("cached_shard_restarts_total")
 	s.mShed = reg.Counter("cached_shed_total")
 	s.mWALErrors = reg.Counter("cached_wal_errors_total")
-	s.mCheckpoints = reg.Counter("cached_checkpoints_total")
 	var hasState bool
 	if cfg.WAL != nil {
 		w := *cfg.WAL
@@ -288,26 +286,24 @@ func New(cfg Config) (*Service, error) {
 		s.shards[i] = sh
 	}
 	if s.walCfg != nil {
-		if hasState {
-			rep := &RecoveryReport{Shards: cfg.Shards}
-			for _, sh := range s.shards {
-				if err := sh.recoverWAL(rep); err != nil {
-					return nil, err
-				}
-			}
+		rep, err := s.recoverShards()
+		if err == nil {
 			s.seq.Store(rep.LastSeq)
 			if cfg.Quotas != nil {
-				if err := s.reconcileQuotas(); err != nil {
-					return nil, err
-				}
+				err = s.reconcileQuotas()
 			}
-			s.recovery = rep
-		} else {
+		}
+		if err != nil {
+			// Close the segments the shards opened before the failure.
 			for _, sh := range s.shards {
-				if err := sh.openSegment(0); err != nil {
-					return nil, err
+				if sh.wal.f != nil {
+					sh.wal.f.Close()
 				}
 			}
+			return nil, err
+		}
+		if hasState {
+			s.recovery = rep
 		}
 	}
 	for i := range s.shards {
@@ -322,10 +318,10 @@ func New(cfg Config) (*Service, error) {
 func (s *Service) Recovery() *RecoveryReport { return s.recovery }
 
 // Crash simulates kill -9 for tests and chaos drills: queued and future
-// work is shed, shard loops exit WITHOUT the final WAL flush, fsync or
-// checkpoint — whatever the OS already has is what recovery gets. Verify
-// and Stats keep working on the frozen in-memory state, so tests can
-// compare it against the recovered service.
+// work is shed, shard loops exit WITHOUT the final WAL write or fsync —
+// whatever the OS already has is what recovery gets. Verify and Stats keep
+// working on the frozen in-memory state, so tests can compare it against
+// the recovered service.
 func (s *Service) Crash() {
 	s.crashed.Store(true)
 	s.Close()
@@ -371,7 +367,6 @@ func (s *Service) Apply(reqs []Request) ([]byte, error) {
 	}
 	results := make([]byte, len(reqs))
 	n := len(s.shards)
-	tenants := s.cfg.Tenants
 	buckets := make([][]int32, n)
 	if n == 1 {
 		// Single shard: routing is the identity, and down (rebuilding after
@@ -381,15 +376,9 @@ func (s *Service) Apply(reqs []Request) ([]byte, error) {
 		// an index append.
 		down := s.shards[0].down.Load()
 		idxs := make([]int32, 0, len(reqs))
-		for i, r := range reqs {
-			if r.Op != OpGet && r.Op != OpPut {
-				return nil, fmt.Errorf("cached: request %d: unknown op %q", i, r.Op)
-			}
-			if r.Tenant < 0 || int(r.Tenant) >= tenants {
-				return nil, fmt.Errorf("cached: request %d: tenant %d out of range [0,%d)", i, r.Tenant, tenants)
-			}
-			if len(r.Key) == 0 {
-				return nil, fmt.Errorf("cached: request %d: empty key", i)
+		for i := range reqs {
+			if err := s.validate(i, &reqs[i]); err != nil {
+				return nil, err
 			}
 			if down {
 				results[i] = ResultShed
@@ -405,15 +394,10 @@ func (s *Service) Apply(reqs []Request) ([]byte, error) {
 		// profile of the live path.
 		shardOf := make([]int32, len(reqs))
 		counts := make([]int, n)
-		for i, r := range reqs {
-			if r.Op != OpGet && r.Op != OpPut {
-				return nil, fmt.Errorf("cached: request %d: unknown op %q", i, r.Op)
-			}
-			if r.Tenant < 0 || int(r.Tenant) >= tenants {
-				return nil, fmt.Errorf("cached: request %d: tenant %d out of range [0,%d)", i, r.Tenant, tenants)
-			}
-			if len(r.Key) == 0 {
-				return nil, fmt.Errorf("cached: request %d: empty key", i)
+		for i := range reqs {
+			r := &reqs[i]
+			if err := s.validate(i, r); err != nil {
+				return nil, err
 			}
 			sh := s.route(r.Tenant, r.Key)
 			if s.shards[sh].down.Load() {
@@ -481,6 +465,22 @@ func (s *Service) Apply(reqs []Request) ([]byte, error) {
 		return results, ErrShardDown
 	}
 	return results, nil
+}
+
+// validate checks request i of an Apply batch: a known op, a tenant in
+// range and a key of 1..MaxKeyLen bytes, the lengths the log can replay.
+func (s *Service) validate(i int, r *Request) error {
+	switch {
+	case r.Op != OpGet && r.Op != OpPut:
+		return fmt.Errorf("cached: request %d: unknown op %q", i, r.Op)
+	case r.Tenant < 0 || int(r.Tenant) >= s.cfg.Tenants:
+		return fmt.Errorf("cached: request %d: tenant %d out of range [0,%d)", i, r.Tenant, s.cfg.Tenants)
+	case len(r.Key) == 0:
+		return fmt.Errorf("cached: request %d: empty key", i)
+	case len(r.Key) > MaxKeyLen:
+		return fmt.Errorf("cached: request %d: %d-byte key, longer than %d", i, len(r.Key), MaxKeyLen)
+	}
+	return nil
 }
 
 // Err returns the first shard failure (a policy contract violation), or nil.

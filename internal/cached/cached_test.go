@@ -1,6 +1,7 @@
 package cached
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -111,22 +112,30 @@ func TestNewValidation(t *testing.T) {
 	svc.Close()
 }
 
-// TestApplyValidation pins the ingress rejection surface.
+// TestApplyValidation pins the ingress rejection surface, on the one-shard
+// path and the routed one. A key longer than MaxKeyLen is refused because
+// the log could not replay it.
 func TestApplyValidation(t *testing.T) {
-	svc := newTestService(t, 8, 2, 2)
 	bad := []Request{
 		{Op: 'X', Tenant: 0, Key: []byte("k")},
 		{Op: OpGet, Tenant: 2, Key: []byte("k")},
 		{Op: OpGet, Tenant: -1, Key: []byte("k")},
 		{Op: OpGet, Tenant: 0, Key: nil},
+		{Op: OpGet, Tenant: 0, Key: bytes.Repeat([]byte("k"), MaxKeyLen+1)},
 	}
-	for i, r := range bad {
-		if _, err := svc.Apply([]Request{r}); err == nil {
-			t.Errorf("bad request %d accepted", i)
+	for _, shards := range []int{1, 2} {
+		svc := newTestService(t, 8, shards, 2)
+		for i, r := range bad {
+			if _, err := svc.Apply([]Request{r}); err == nil {
+				t.Errorf("shards=%d: bad request %d accepted", shards, i)
+			}
 		}
-	}
-	if res, err := svc.Apply(nil); err != nil || res != nil {
-		t.Errorf("empty batch: %v %v", res, err)
+		if res, err := svc.Apply(nil); err != nil || res != nil {
+			t.Errorf("shards=%d: empty batch: %v %v", shards, res, err)
+		}
+		if st := svc.Stats(); st.Requests != 0 {
+			t.Errorf("shards=%d: %d requests applied", shards, st.Requests)
+		}
 	}
 }
 

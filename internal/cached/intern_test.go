@@ -59,7 +59,7 @@ func TestMaxKeyLenBoundary(t *testing.T) {
 	// Recovery re-interns the long keys from WAL records; the reopened
 	// service must hit on them immediately.
 	svc2 := newWALService(t, Config{K: 8, Shards: 2, Tenants: 3, NewPolicy: testPolicy,
-		WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, SegmentBytes: 4096, CheckpointEvery: 4096, Recover: true}})
+		WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, SegmentBytes: 4096, Recover: true}})
 	res2, err := svc2.Apply([]Request{
 		{Op: OpGet, Tenant: 0, Key: long},
 		{Op: OpGet, Tenant: 1, Key: long},
@@ -100,7 +100,7 @@ func TestInterningStableAcrossRecover(t *testing.T) {
 	svc.Close()
 
 	svc2 := newWALService(t, Config{K: k, Shards: shards, Tenants: tenants, NewPolicy: testPolicy,
-		WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, SegmentBytes: 4096, CheckpointEvery: 4096, Recover: true}})
+		WAL: &WALConfig{Dir: dir, Fsync: FsyncOff, SegmentBytes: 4096, Recover: true}})
 	if got := countPages(t, svc2); got != pagesBefore {
 		t.Fatalf("recovered service interned %d pages, original had %d", got, pagesBefore)
 	}
@@ -176,15 +176,5 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		if !ok || got != p {
 			t.Fatalf("lookup(%q) = %d,%v want %d", k, got, ok, p)
 		}
-	}
-	seen := map[string]bool{}
-	kt.each(func(k []byte, p trace.PageID) {
-		if ref[string(k)] != p {
-			t.Fatalf("each yielded %q -> %d, map has %d", k, p, ref[string(k)])
-		}
-		seen[string(k)] = true
-	})
-	if len(seen) != len(ref) {
-		t.Fatalf("each visited %d keys, map has %d", len(seen), len(ref))
 	}
 }

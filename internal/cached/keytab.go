@@ -136,13 +136,3 @@ func (kt *keyTable) grow() {
 		}
 	}
 }
-
-// each visits every interned (key, page) pair in unspecified order. The key
-// slice aliases the arena — copy it to retain.
-func (kt *keyTable) each(f func(key []byte, page trace.PageID)) {
-	for i := range kt.slots {
-		if s := &kt.slots[i]; s.hash != 0 {
-			f(kt.arena[s.off:s.off+s.klen], s.page)
-		}
-	}
-}

@@ -94,36 +94,3 @@ func (q *quotaLRU) SetQuotas(quotas []int) []int {
 
 // Occupancy is the total resident page count.
 func (q *quotaLRU) Occupancy() int { return q.tab.Total() }
-
-// dump serializes residency for a checkpoint: per tenant, resident pages in
-// MRU→LRU order. Deterministic — it walks the intrusive lists, never a map.
-func (q *quotaLRU) dump() [][]int64 {
-	out := make([][]int64, len(q.quotas))
-	for t := range q.quotas {
-		out[t] = q.tab.PagesMRU(trace.Tenant(t))
-	}
-	return out
-}
-
-// restore rebuilds residency from a dump on a freshly constructed instance.
-// The quotas must already be the ones in force at checkpoint time.
-func (q *quotaLRU) restore(pages [][]int64) error {
-	if len(pages) > len(q.quotas) {
-		return fmt.Errorf("quota image has %d tenants, engine has %d", len(pages), len(q.quotas))
-	}
-	if q.tab.Total() != 0 {
-		return fmt.Errorf("restore on a non-empty engine")
-	}
-	for t, ps := range pages {
-		if len(ps) > q.quotas[t] {
-			return fmt.Errorf("tenant %d image holds %d pages over quota %d", t, len(ps), q.quotas[t])
-		}
-		// The dump is MRU→LRU; appending at the back preserves the order.
-		for _, p := range ps {
-			if err := q.tab.PushBack(trace.PageID(p), trace.Tenant(t)); err != nil {
-				return fmt.Errorf("tenant %d quota image: %w", t, err)
-			}
-		}
-	}
-	return nil
-}

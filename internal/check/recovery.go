@@ -20,11 +20,11 @@ import (
 // shard step is a deterministic function of the logged entry stream, so the
 // WAL replay has no legitimate source of drift.
 
-// recoveryWAL returns the WAL configuration the oracle uses: small segments
-// so every scenario crosses rotations, and checkpoints well inside the trace
-// so recovery exercises the checkpoint-plus-replay path, not just one of them.
+// recoveryWAL returns the WAL configuration the oracle uses: small segments,
+// so every scenario crosses rotations and recovery replays sealed segments
+// as well as the final one.
 func recoveryWAL(dir string, fs fault.FS) *cached.WALConfig {
-	return &cached.WALConfig{Dir: dir, Fsync: cached.FsyncOff, SegmentBytes: 4096, CheckpointEvery: 4096, FS: fs}
+	return &cached.WALConfig{Dir: dir, Fsync: cached.FsyncOff, SegmentBytes: 4096, FS: fs}
 }
 
 // statsSig canonicalizes the engine-visible part of a Stats report: tenant

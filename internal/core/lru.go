@@ -109,32 +109,6 @@ func (t *LRUTable) Insert(p trace.PageID, i trace.Tenant) error {
 	return nil
 }
 
-// PushBack links page p at the BACK of tenant i's list — the restore path's
-// primitive (snapshots list pages most-recent-first).
-func (t *LRUTable) PushBack(p trace.PageID, i trace.Tenant) error {
-	ix, err := t.slot(p)
-	if err != nil {
-		return err
-	}
-	r := &t.pr[ix]
-	if r.resident != 0 {
-		return fmt.Errorf("core: page %d inserted while resident", p)
-	}
-	r.owner = int32(i)
-	r.resident = 1
-	r.prev = t.tail[i]
-	r.next = -1
-	if tl := t.tail[i]; tl >= 0 {
-		t.pr[tl].next = ix
-	} else {
-		t.head[i] = ix
-	}
-	t.tail[i] = ix
-	t.size[i]++
-	t.total++
-	return nil
-}
-
 // PopTail evicts and returns tenant i's least-recently-used page; ok is
 // false when the tenant holds nothing.
 func (t *LRUTable) PopTail(i trace.Tenant) (trace.PageID, bool) {

@@ -47,12 +47,6 @@ type FS interface {
 	Open(name string) (io.ReadCloser, error)
 	// ReadDir lists the file names (not full paths) in dir, sorted.
 	ReadDir(dir string) ([]string, error)
-	// Rename atomically replaces newname with oldname.
-	Rename(oldname, newname string) error
-	// Remove deletes name.
-	Remove(name string) error
-	// Size reports the current length of name in bytes.
-	Size(name string) (int64, error)
 }
 
 // OSFS is the passthrough FS over the real filesystem.
@@ -81,18 +75,6 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
-
-func (osFS) Remove(name string) error { return os.Remove(name) }
-
-func (osFS) Size(name string) (int64, error) {
-	st, err := os.Stat(name)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
 }
 
 // ErrCrashed is returned by every FaultFS operation after the configured
@@ -163,10 +145,9 @@ func ParseFSSpec(spec string) (FSConfig, error) {
 // FaultFS wraps an inner FS with seeded deterministic storage faults. All
 // fault decisions flow from one PRNG behind a mutex, in operation-arrival
 // order: a given seed produces the same fault sequence for the same sequence
-// of writes, which is what makes storage chaos tests replayable. Reads,
-// directory operations and renames pass through unfaulted (the WAL's
-// correctness burden is on the write path; recovery must work no matter what
-// the reader finds).
+// of writes, which is what makes storage chaos tests replayable. Reads and
+// directory operations pass through unfaulted (the WAL's correctness burden
+// is on the write path; recovery must work no matter what the reader finds).
 type FaultFS struct {
 	inner FS
 	cfg   FSConfig
@@ -269,17 +250,6 @@ func (f *FaultFS) Append(name string) (File, error) {
 func (f *FaultFS) Open(name string) (io.ReadCloser, error) { return f.inner.Open(name) }
 
 func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.inner.ReadDir(dir) }
-
-func (f *FaultFS) Rename(oldname, newname string) error {
-	if f.Crashed() {
-		return ErrCrashed
-	}
-	return f.inner.Rename(oldname, newname)
-}
-
-func (f *FaultFS) Remove(name string) error { return f.inner.Remove(name) }
-
-func (f *FaultFS) Size(name string) (int64, error) { return f.inner.Size(name) }
 
 // faultFile interposes the write-path faults on one file handle.
 type faultFile struct {
