@@ -64,24 +64,11 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	}
 	start := time.Now()
 	replays := make([]*ShardSnapshot, len(snaps))
-	errs := make([]error, len(snaps))
-	var wg sync.WaitGroup
-	for i, snap := range snaps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A replay runs off the caller's goroutine, so its panic must
-			// come back as an error, not take the serving process down.
-			defer func() {
-				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("cached: shard %d: replay panicked: %v", snap.Shard, p)
-				}
-			}()
-			replays[i], errs[i] = s.replayShard(ctx, snap)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := forEachShard(len(snaps), func(i int) (err error) {
+		replays[i], err = s.replayShard(ctx, snaps[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	tenants := s.cfg.Tenants
@@ -99,6 +86,32 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 	return rep, nil
 }
 
+// errReplayPanic marks the error a panic in a shard's replay became.
+var errReplayPanic = errors.New("replay panicked")
+
+// forEachShard runs f(i) for shards 0..n-1, one goroutine each, and joins
+// their errors once all have finished. f runs off its caller's goroutine,
+// so a panic in it must come back as an error naming the shard, wrapping
+// errReplayPanic, not take the process down.
+func forEachShard(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[i] = fmt.Errorf("cached: shard %d: %w: %v", i, errReplayPanic, p)
+				}
+			}()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // replayShard replays one shard's complete log — its sealed WAL segments,
 // streamed from disk (immutable once rotated, so safe under live traffic),
 // then the snapshot's view of the in-memory tail, read where it lies — and
@@ -109,7 +122,7 @@ func (s *Service) Verify(ctx context.Context) (*VerifyReport, error) {
 // sim.DensePolicy (over a trace.Dense view of the log), and sim's map step
 // for any other policy (which New allows only with one shard), the latter
 // two at the shard's capacity share. The context is checked on entry and
-// every 65,536 entries, and by the dense engine as it runs.
+// about every 65,536 entries, and by the dense engine as it runs.
 func (s *Service) replayShard(ctx context.Context, snap *ShardSnapshot) (*ShardSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cached: verify aborted: %w", err)
@@ -180,37 +193,50 @@ type replayer struct {
 	// slots collects the requests for the dense engine, which runs once
 	// the whole log is read.
 	slots []int32
-	i     int // log entries seen
-	r     *ShardSnapshot
+	i     int // the map engine's step: requests seen
+	// tick counts down the entries to the next context check.
+	tick int
+	r    *ShardSnapshot
 }
 
-func (p *replayer) request(_ int64, slot int, t trace.Tenant, _ []byte) error {
-	i := p.i
-	p.i++
-	if i%65536 == 0 && p.ctx.Err() != nil {
-		return p.ctx.Err()
+func (p *replayer) page(int, trace.Tenant, []byte) error { return nil }
+
+func (p *replayer) requests(_ int64, slots []int32, owners []trace.Tenant) error {
+	if p.tick -= len(slots); p.tick < 0 {
+		p.tick = 1 << 16
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
 	}
 	switch {
 	case p.dense != nil:
 		// Hits holds the tenant's requests until the engine's misses are
 		// subtracted.
-		p.r.Hits[t]++
-		p.slots = append(p.slots, int32(slot))
-	case p.q != nil:
-		hit, evicted := p.q.Access(t, trace.PageID(p.id+slot*p.n))
-		p.r.count(t, hit, evicted, t)
-	default:
-		hit, _, owner, err := p.mc.Access(i, trace.Request{Page: trace.PageID(p.id + slot*p.n), Tenant: t})
-		if err != nil {
-			return fmt.Errorf("replaying request log: %w", err)
+		for _, slot := range slots {
+			p.r.Hits[owners[slot]]++
 		}
-		p.r.count(t, hit, owner >= 0, owner)
+		p.slots = append(p.slots, slots...)
+	case p.q != nil:
+		for _, slot := range slots {
+			t := owners[slot]
+			hit, evicted := p.q.Access(t, trace.PageID(p.id+int(slot)*p.n))
+			p.r.count(t, hit, evicted, t)
+		}
+	default:
+		for _, slot := range slots {
+			t := owners[slot]
+			hit, _, owner, err := p.mc.Access(p.i, trace.Request{Page: trace.PageID(p.id + int(slot)*p.n), Tenant: t})
+			if err != nil {
+				return fmt.Errorf("replaying request log: %w", err)
+			}
+			p.r.count(t, hit, owner >= 0, owner)
+			p.i++
+		}
 	}
 	return nil
 }
 
 func (p *replayer) quotas(_ int64, q []int) error {
-	p.i++
 	for t, ev := range p.q.SetQuotas(localQuotas(q, p.n, p.id)) {
 		p.r.Evictions[t] += int64(ev)
 	}
