@@ -43,6 +43,7 @@ import (
 	"convexcache/internal/core"
 	"convexcache/internal/costfn"
 	"convexcache/internal/experiments"
+	"convexcache/internal/mrclive"
 	"convexcache/internal/policy"
 	"convexcache/internal/runspec"
 	"convexcache/internal/sim"
@@ -294,12 +295,19 @@ func gitCommit() string {
 // over 4096-page universes, 200k requests. The per-tenant seeds are pinned
 // to the historical i+1 so the workload is bit-identical across reports.
 func benchTrace(tenants int, pagesPer int64, length int) *trace.Trace {
+	specs := make([]string, tenants)
+	for i := range specs {
+		specs[i] = fmt.Sprintf("zipf:%d,0.9", pagesPer)
+	}
+	return specTrace(specs, length)
+}
+
+// specTrace builds a trace with one workload stream spec per tenant.
+func specTrace(specs []string, length int) *trace.Trace {
 	w := &runspec.WorkloadSpec{Length: length, Seed: 42}
-	for i := 0; i < tenants; i++ {
+	for i, spec := range specs {
 		seed := int64(i + 1)
-		w.Tenants = append(w.Tenants, runspec.TenantSpec{
-			Stream: fmt.Sprintf("zipf:%d,0.9", pagesPer), Seed: &seed,
-		})
+		w.Tenants = append(w.Tenants, runspec.TenantSpec{Stream: spec, Seed: &seed})
 	}
 	tr, err := (&runspec.Scenario{Trace: runspec.TraceSpec{Workload: w}}).BuildTrace()
 	if err != nil {
@@ -452,7 +460,71 @@ func liveSuite() []Result {
 	res := toResult(name, r)
 	res.ReqPerSec = float64(tr.Len()*r.N) / r.T.Seconds()
 	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
-	return []Result{res, verifyBench(reqs, tenants, costs)}
+	return []Result{res, verifyBench(reqs, tenants, costs), partitionBench()}
+}
+
+// partitionBench measures the adaptive per-key path in process: a 2-shard
+// partition-mode service with the live MRC estimator on, configured as
+// cmd/cachebench's adaptive workload (even quotas, its cost mix, reserve
+// floor 1, the estimator at full rate over 8 epochs of 4096 requests). It
+// is fed that workload's two phases in 256-key batches, with one rebalance
+// after each phase. Each iteration builds a fresh service.
+func partitionBench() Result {
+	const name = "live/partition-mrc/n=2/k=4096"
+	const k, tenants, batch, phaseLen = 4096, 4, 256, 100_000
+	costs, err := runspec.Costs([]string{"monomial:1,2", "linear:2", "monomial:1,2", "linear:4"}, tenants)
+	if err != nil {
+		fatal(err)
+	}
+	quotas := make([]int, tenants)
+	for t := range quotas {
+		quotas[t] = sim.ShardShare(k, tenants, t)
+	}
+	var phases [][]cached.Request
+	for _, specs := range [][]string{
+		{"zipf:4000,0.9", "zipf:4000,0.9", "zipf:64,0.5", "zipf:64,0.5"},
+		{"zipf:64,0.5", "zipf:64,0.5", "zipf:4000,0.9", "zipf:4000,0.9"},
+	} {
+		tr := specTrace(specs, phaseLen)
+		arena := make([]byte, 0, 10*tr.Len())
+		reqs := make([]cached.Request, tr.Len())
+		for i, r := range tr.Requests() {
+			base := len(arena)
+			arena = fmt.Appendf(arena, "p%d", r.Page)
+			reqs[i] = cached.Request{Op: cached.OpGet, Tenant: r.Tenant, Key: arena[base:len(arena):len(arena)]}
+		}
+		phases = append(phases, reqs)
+	}
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc, err := cached.New(cached.Config{
+				K: k, Shards: 2, Tenants: tenants,
+				Quotas: quotas, Costs: costs, ReserveFloor: 1,
+				MRC: &mrclive.Config{MaxSize: k, Rate: 1, Seed: 1, WindowEpochs: 8, EpochRequests: 4096},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, reqs := range phases {
+				for lo := 0; lo < len(reqs); lo += batch {
+					if _, err := svc.Apply(reqs[lo:min(lo+batch, len(reqs))]); err != nil {
+						svc.Close()
+						b.Fatal(err)
+					}
+				}
+				if _, _, err := svc.RebalanceOnce(); err != nil {
+					svc.Close()
+					b.Fatal(err)
+				}
+			}
+			svc.Close()
+		}
+	})
+	res := toResult(name, r)
+	res.ReqPerSec = float64(2*phaseLen*r.N) / r.T.Seconds()
+	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
+	return res
 }
 
 // verifyBench times one clean Verify of a 2-shard service that served reqs

@@ -3,6 +3,8 @@ package cached
 import (
 	"context"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,6 +54,30 @@ func newPartitionService(t *testing.T, k, shards, tenants int, mrc *mrclive.Conf
 	}
 	t.Cleanup(svc.Close)
 	return svc
+}
+
+// TestNewRejectsBadMRCConfig pins the one place the estimator config is
+// checked, the shard's own sampler construction: an invalid config fails New
+// before anything is written under the WAL directory, a log segment least
+// of all.
+func TestNewRejectsBadMRCConfig(t *testing.T) {
+	dir := t.TempDir()
+	_, err := New(Config{
+		K: 64, Shards: 2, Tenants: 2,
+		Quotas: evenSplit(64, 2),
+		MRC:    &mrclive.Config{Rate: 2},
+		WAL:    &WALConfig{Dir: dir, Fsync: FsyncOff},
+	})
+	if err == nil || !strings.Contains(err.Error(), "mrc config") {
+		t.Fatalf("New with sampling rate 2: err = %v, want an mrc config error", err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("failed New left %s in the WAL directory", e.Name())
+	}
 }
 
 // TestStatsSnapshotBarrierUnderLoad is the snapshot-atomicity hammer: every

@@ -217,14 +217,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		policyName = probe.Name()
 	}
-	if cfg.MRC != nil {
-		mc := *cfg.MRC
-		mc.Tenants = cfg.Tenants
-		mc.Scale = cfg.Shards
-		if _, err := mrclive.NewSampler(mc); err != nil {
-			return nil, fmt.Errorf("cached: mrc config: %w", err)
-		}
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -234,13 +226,41 @@ func New(cfg Config) (*Service, error) {
 	s.mShardRestarts = reg.Counter("cached_shard_restarts_total")
 	s.mShed = reg.Counter("cached_shed_total")
 	s.mWALErrors = reg.Counter("cached_wal_errors_total")
-	var hasState bool
 	if cfg.WAL != nil {
 		w := *cfg.WAL
 		if err := w.normalize(); err != nil {
 			return nil, err
 		}
 		s.walCfg = &w
+	}
+	if cfg.Quotas != nil {
+		s.quotas = append([]int(nil), cfg.Quotas...)
+		s.mQuota = make([]*obs.Gauge, cfg.Tenants)
+		for t := range s.mQuota {
+			s.mQuota[t] = reg.Gauge(fmt.Sprintf(`cached_quota_pages{tenant="%d"}`, t))
+			s.mQuota[t].Set(int64(s.quotas[t]))
+		}
+		s.mRebalances = reg.Counter("cached_rebalances_total")
+	}
+	if cfg.MRC != nil {
+		s.mWindowReqs = make([]*obs.Gauge, cfg.Tenants)
+		s.mMissRatioBP = make([]*obs.Gauge, cfg.Tenants)
+		for t := range s.mWindowReqs {
+			s.mWindowReqs[t] = reg.Gauge(fmt.Sprintf(`cached_mrc_window_requests{tenant="%d"}`, t))
+			s.mMissRatioBP[t] = reg.Gauge(fmt.Sprintf(`cached_mrc_miss_ratio_bp{tenant="%d"}`, t))
+		}
+	}
+	// Shards build in memory only, so a config error they find (a bad
+	// estimator config, say) leaves nothing on disk.
+	for i := range s.shards {
+		sh, err := newShard(s, i, sim.ShardShare(cfg.K, cfg.Shards, i))
+		if err != nil {
+			return nil, err
+		}
+		s.shards[i] = sh
+	}
+	if w := s.walCfg; w != nil {
+		var hasState bool
 		if err := w.FS.MkdirAll(w.Dir); err != nil {
 			return nil, fmt.Errorf("cached: create wal dir: %w", err)
 		}
@@ -260,32 +280,6 @@ func New(cfg Config) (*Service, error) {
 		if hasState && !w.Recover {
 			return nil, fmt.Errorf("cached: wal directory %s holds existing state; enable Recover (-recover) to load it, or point at an empty directory", w.Dir)
 		}
-	}
-	if cfg.Quotas != nil {
-		s.quotas = append([]int(nil), cfg.Quotas...)
-		s.mQuota = make([]*obs.Gauge, cfg.Tenants)
-		for t := range s.mQuota {
-			s.mQuota[t] = reg.Gauge(fmt.Sprintf(`cached_quota_pages{tenant="%d"}`, t))
-			s.mQuota[t].Set(int64(s.quotas[t]))
-		}
-		s.mRebalances = reg.Counter("cached_rebalances_total")
-	}
-	if cfg.MRC != nil {
-		s.mWindowReqs = make([]*obs.Gauge, cfg.Tenants)
-		s.mMissRatioBP = make([]*obs.Gauge, cfg.Tenants)
-		for t := range s.mWindowReqs {
-			s.mWindowReqs[t] = reg.Gauge(fmt.Sprintf(`cached_mrc_window_requests{tenant="%d"}`, t))
-			s.mMissRatioBP[t] = reg.Gauge(fmt.Sprintf(`cached_mrc_miss_ratio_bp{tenant="%d"}`, t))
-		}
-	}
-	for i := range s.shards {
-		sh, err := newShard(s, i, sim.ShardShare(cfg.K, cfg.Shards, i))
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i] = sh
-	}
-	if s.walCfg != nil {
 		rep, err := s.recoverShards()
 		if err == nil {
 			s.seq.Store(rep.LastSeq)

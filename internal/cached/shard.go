@@ -181,8 +181,10 @@ func newShard(svc *Service, id, k int) (*shard, error) {
 		mc := *svc.cfg.MRC
 		mc.Tenants = svc.cfg.Tenants
 		mc.Scale = svc.cfg.Shards
-		// Config was validated in New; a fresh sampler cannot fail here.
-		sh.sampler, _ = mrclive.NewSampler(mc)
+		var err error
+		if sh.sampler, err = mrclive.NewSampler(mc); err != nil {
+			return nil, fmt.Errorf("cached: mrc config: %w", err)
+		}
 	}
 	if svc.walCfg != nil {
 		sh.wal = newShardWAL(svc.walCfg, id)

@@ -10,11 +10,13 @@
 //   - An incremental Mattson stack per tenant: a Fenwick tree over an
 //     append-cursor slot array yields the reuse stack distance of every
 //     sampled access in O(log n), the same quantity analysis.Mattson
-//     computes offline.
-//   - Epoch-bucketed decay: hit histograms and page liveness are bucketed
-//     into a ring of WindowEpochs epochs; advancing the ring expires pages
-//     (and their histogram mass) untouched for a full window, so the curve
-//     tracks phase shifts instead of averaging over all history.
+//     computes offline. Pages are found through one record array indexed
+//     by p / Scale, the page's slot in its shard's dense id space.
+//   - Epoch-bucketed decay: hit histograms are bucketed into a ring of
+//     WindowEpochs epochs; advancing the ring expires pages (and their
+//     histogram mass) untouched for a full window, so the curve tracks
+//     phase shifts instead of averaging over all history. Slot order is
+//     last-access order, so the expired pages are a prefix of each stack.
 //
 // A Sampler is single-owner by design — internal/cached gives one to each
 // shard goroutine, which calls Observe inline with no locks; a collector
@@ -54,10 +56,11 @@ type Config struct {
 	WindowEpochs int
 	// EpochRequests advances the epoch ring every that many observed
 	// requests — deterministic in the request stream, independent of wall
-	// clock. <= 0 selects 4096.
+	// clock. <= 0 selects 4096; at most math.MaxInt32.
 	EpochRequests int
 	// Scale multiplies measured stack distances: the shard count when each
-	// sampler sees only a 1/Scale page partition. <= 0 selects 1.
+	// sampler sees only a 1/Scale page partition. <= 0 selects 1. Page ids
+	// must be dense in p / Scale (see Sampler.Observe).
 	Scale int
 }
 
@@ -81,108 +84,48 @@ func (c Config) normalize() (Config, error) {
 	if c.EpochRequests <= 0 {
 		c.EpochRequests = 4096
 	}
+	if c.EpochRequests > math.MaxInt32 {
+		return c, fmt.Errorf("mrclive: epoch length %d exceeds %d requests", c.EpochRequests, math.MaxInt32)
+	}
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
 	return c, nil
 }
 
-// pageRef locates a tracked page inside its tenant stack.
-type pageRef struct {
-	slot  int
-	epoch int64
-}
-
 // tenantStack is one tenant's incremental Mattson stack: pages occupy slots
 // in access order behind a write cursor, a Fenwick tree counts live slots,
 // and the reuse distance of an access is the number of live slots after the
-// page's previous position. Compaction (triggered when the cursor reaches
-// the end) rewrites live pages in slot order — deterministic, no map
-// iteration — and doubles capacity while more than half the slots are live.
+// page's previous position. Because slot order is last-access order, the
+// pages last touched in one epoch fill the live slots between that epoch's
+// mark and the next one's. Compaction (triggered when the cursor reaches the
+// end) packs live pages in slot order, in place, remaps the marks, and
+// doubles capacity while more than half the slots are live.
 type tenantStack struct {
-	fen    *fenwick
-	slots  []trace.PageID
+	fen fenwick
+	// slots holds the record index (page / Scale) of each slot's page, or
+	// freeSlot.
+	slots  []int32
 	cursor int
 	live   int
-	refs   map[trace.PageID]pageRef
+	// marks[e % WindowEpochs] is the slot where epoch e's accesses began,
+	// for the epochs in the window.
+	marks []int
 }
 
-const freeSlot = trace.PageID(-1)
+const freeSlot = int32(-1)
 
-func newTenantStack() *tenantStack {
+func newTenantStack(windowEpochs int) tenantStack {
 	const initialCap = 256
-	st := &tenantStack{
-		fen:   newFenwick(initialCap),
-		slots: make([]trace.PageID, initialCap),
-		refs:  make(map[trace.PageID]pageRef),
+	st := tenantStack{
+		fen:   make(fenwick, initialCap+1),
+		slots: make([]int32, initialCap),
+		marks: make([]int, windowEpochs),
 	}
 	for i := range st.slots {
 		st.slots[i] = freeSlot
 	}
 	return st
-}
-
-// access records one sampled access and returns the reuse stack distance
-// (distinct sampled pages since the previous access), or -1 on first touch.
-func (st *tenantStack) access(p trace.PageID, epoch int64) int64 {
-	dist := int64(-1)
-	if ref, ok := st.refs[p]; ok {
-		dist = int64(st.fen.prefix(len(st.slots)-1) - st.fen.prefix(ref.slot))
-		st.fen.add(ref.slot, -1)
-		st.slots[ref.slot] = freeSlot
-		st.live--
-	}
-	if st.cursor == len(st.slots) {
-		st.compact()
-	}
-	st.fen.add(st.cursor, 1)
-	st.slots[st.cursor] = p
-	st.refs[p] = pageRef{slot: st.cursor, epoch: epoch}
-	st.cursor++
-	st.live++
-	return dist
-}
-
-// remove expires a page from the stack.
-func (st *tenantStack) remove(p trace.PageID, ref pageRef) {
-	st.fen.add(ref.slot, -1)
-	st.slots[ref.slot] = freeSlot
-	delete(st.refs, p)
-	st.live--
-}
-
-// compact rewrites live pages densely at the front, preserving slot (= LRU)
-// order, growing the slot array while it is more than half live.
-func (st *tenantStack) compact() {
-	newCap := len(st.slots)
-	if st.live*2 > newCap {
-		newCap *= 2
-	}
-	pages := make([]trace.PageID, 0, st.live)
-	for _, p := range st.slots {
-		if p != freeSlot {
-			pages = append(pages, p)
-		}
-	}
-	st.slots = make([]trace.PageID, newCap)
-	for i := range st.slots {
-		st.slots[i] = freeSlot
-	}
-	st.fen = newFenwick(newCap)
-	for i, p := range pages {
-		st.slots[i] = p
-		st.fen.add(i, 1)
-		r := st.refs[p]
-		r.slot = i
-		st.refs[p] = r
-	}
-	st.cursor = st.live
-}
-
-// touchRec marks a sampled page access for lazy window expiry.
-type touchRec struct {
-	t trace.Tenant
-	p trace.PageID
 }
 
 // Sampler is one shard's streaming MRC estimator. It is deliberately NOT
@@ -192,13 +135,17 @@ type touchRec struct {
 type Sampler struct {
 	cfg    Config
 	filter analysis.SampleFilter
-	stacks []*tenantStack
+	stacks []tenantStack
+	// refs[p/Scale] is page p's slot in its tenant's stack plus one, or 0
+	// while the page is not tracked. A page has exactly one tenant, so one
+	// table serves every stack.
+	refs []int32
 
-	// Ring of WindowEpochs epochs; slot e%W holds epoch e's buckets.
-	hist     [][]int64 // [W][Tenants*MaxSize] sampled hits by scaled distance
+	// Ring of WindowEpochs epochs; slot e%W holds epoch e's buckets. A
+	// bucket counts at most EpochRequests, which normalize bounds to int32.
+	hist     [][]int32 // [W][Tenants*MaxSize] sampled hits by scaled distance
 	observed [][]int64 // [W][Tenants] all observed requests (exact)
 	sampled  [][]int64 // [W][Tenants] sampled requests
-	touched  [][]touchRec
 
 	absEpoch   int64
 	reqInEpoch int
@@ -217,17 +164,16 @@ func NewSampler(cfg Config) (*Sampler, error) {
 	s := &Sampler{
 		cfg:      cfg,
 		filter:   filter,
-		stacks:   make([]*tenantStack, cfg.Tenants),
-		hist:     make([][]int64, cfg.WindowEpochs),
+		stacks:   make([]tenantStack, cfg.Tenants),
+		hist:     make([][]int32, cfg.WindowEpochs),
 		observed: make([][]int64, cfg.WindowEpochs),
 		sampled:  make([][]int64, cfg.WindowEpochs),
-		touched:  make([][]touchRec, cfg.WindowEpochs),
 	}
 	for t := range s.stacks {
-		s.stacks[t] = newTenantStack()
+		s.stacks[t] = newTenantStack(cfg.WindowEpochs)
 	}
 	for e := 0; e < cfg.WindowEpochs; e++ {
-		s.hist[e] = make([]int64, cfg.Tenants*cfg.MaxSize)
+		s.hist[e] = make([]int32, cfg.Tenants*cfg.MaxSize)
 		s.observed[e] = make([]int64, cfg.Tenants)
 		s.sampled[e] = make([]int64, cfg.Tenants)
 	}
@@ -237,9 +183,12 @@ func NewSampler(cfg Config) (*Sampler, error) {
 // Config returns the normalized configuration.
 func (s *Sampler) Config() Config { return s.cfg }
 
-// Observe records one request. Called inline on the owner's request path;
-// page ids must be non-negative (internal/cached and internal/trace both
-// guarantee this).
+// Observe records one request. Called inline on the owner's request path.
+// Page ids must be non-negative and dense in p / Scale, the way
+// core.LRUTable requires of its residue class: the sampler keeps one record
+// per p / Scale up to the largest seen. Each page id belongs to one tenant.
+// internal/cached meets this: shard s of n interns its pages as s + j·n and
+// runs its sampler at Scale n.
 func (s *Sampler) Observe(t trace.Tenant, p trace.PageID) {
 	if t < 0 || int(t) >= s.cfg.Tenants || p < 0 {
 		return
@@ -249,7 +198,7 @@ func (s *Sampler) Observe(t trace.Tenant, p trace.PageID) {
 	s.reqInEpoch++
 	if s.filter.Keep(p) {
 		s.sampled[cur][t]++
-		if dist := s.stacks[t].access(p, s.absEpoch); dist >= 0 {
+		if dist := s.access(&s.stacks[t], int(p/trace.PageID(s.cfg.Scale))); dist >= 0 {
 			// Each sampled resident page stands for Scale/Rate true pages:
 			// 1/Rate from hash sampling, Scale from the shard partition.
 			scaled := int(float64(dist) * float64(s.cfg.Scale) / s.cfg.Rate)
@@ -257,38 +206,97 @@ func (s *Sampler) Observe(t trace.Tenant, p trace.PageID) {
 				s.hist[cur][int(t)*s.cfg.MaxSize+scaled]++
 			}
 		}
-		s.touched[cur] = append(s.touched[cur], touchRec{t: t, p: p})
 	}
 	if s.reqInEpoch >= s.cfg.EpochRequests {
 		s.advance()
 	}
 }
 
+// access records one sampled access to the page with record index ix and
+// returns its reuse stack distance (distinct sampled pages since the
+// previous access), or -1 on first touch.
+func (s *Sampler) access(st *tenantStack, ix int) int {
+	if ix >= len(s.refs) {
+		s.refs = append(s.refs, make([]int32, ix+1-len(s.refs))...)
+	}
+	dist := -1
+	if ref := s.refs[ix]; ref != 0 {
+		slot := int(ref - 1)
+		dist = st.live - st.fen.prefix(slot)
+		st.fen.add(slot, -1)
+		st.slots[slot] = freeSlot
+		st.live--
+	}
+	if st.cursor == len(st.slots) {
+		s.compact(st)
+	}
+	st.fen.add(st.cursor, 1)
+	st.slots[st.cursor] = int32(ix)
+	s.refs[ix] = int32(st.cursor + 1)
+	st.cursor++
+	st.live++
+	return dist
+}
+
+// compact packs the live pages at the front in slot (= LRU) order, in
+// place, growing the arrays while more than half the slots are live. Each
+// mark moves to the number of live slots before it, which keeps it between
+// the same pages.
+func (s *Sampler) compact(st *tenantStack) {
+	for e, m := range st.marks {
+		if m > 0 {
+			st.marks[e] = st.fen.prefix(m - 1)
+		}
+	}
+	n := 0
+	for _, ix := range st.slots {
+		if ix != freeSlot {
+			st.slots[n] = ix
+			s.refs[ix] = int32(n + 1)
+			n++
+		}
+	}
+	if st.live*2 > len(st.slots) {
+		grown := make([]int32, 2*len(st.slots))
+		copy(grown, st.slots[:n])
+		st.slots = grown
+		st.fen = make(fenwick, len(grown)+1)
+	}
+	for i := n; i < len(st.slots); i++ {
+		st.slots[i] = freeSlot
+	}
+	st.fen.fill(n)
+	st.cursor = n
+}
+
 // advance rotates the epoch ring: the slot about to be reused holds the
 // epoch that just fell out of the window, so its histogram mass is zeroed
 // and every page whose last touch was in that epoch is expired from its
-// stack (pages touched again since have a newer ref.epoch and survive).
+// stack. Those pages are the live slots from the expiring epoch's mark to
+// the next epoch's: pages touched again since sit after both marks.
 func (s *Sampler) advance() {
 	s.absEpoch++
 	s.reqInEpoch = 0
-	W := int64(s.cfg.WindowEpochs)
-	slot := int(s.absEpoch % W)
-	expired := s.absEpoch - W
-	for _, tr := range s.touched[slot] {
-		st := s.stacks[tr.t]
-		if ref, ok := st.refs[tr.p]; ok && ref.epoch <= expired {
-			st.remove(tr.p, ref)
+	W := s.cfg.WindowEpochs
+	slot := int(s.absEpoch % int64(W))
+	for t := range s.stacks {
+		st := &s.stacks[t]
+		from := st.marks[slot]
+		// Mark the new epoch before reading the next one's: with a one-epoch
+		// window they are the same, and every page expires.
+		st.marks[slot] = st.cursor
+		for i, to := from, st.marks[(slot+1)%W]; i < to; i++ {
+			if ix := st.slots[i]; ix != freeSlot {
+				st.slots[i] = freeSlot
+				s.refs[ix] = 0
+				st.fen.add(i, -1)
+				st.live--
+			}
 		}
 	}
-	s.touched[slot] = s.touched[slot][:0]
-	h := s.hist[slot]
-	for i := range h {
-		h[i] = 0
-	}
-	for t := 0; t < s.cfg.Tenants; t++ {
-		s.observed[slot][t] = 0
-		s.sampled[slot][t] = 0
-	}
+	clear(s.hist[slot])
+	clear(s.observed[slot])
+	clear(s.sampled[slot])
 }
 
 // TenantWindow is one tenant's window accounting from one sampler.
@@ -317,7 +325,7 @@ func (s *Sampler) Snapshot() []TenantWindow {
 			h := s.hist[e][t*s.cfg.MaxSize : (t+1)*s.cfg.MaxSize]
 			for d, v := range h {
 				if v != 0 {
-					out[t].Hist[d] += v
+					out[t].Hist[d] += int64(v)
 				}
 			}
 		}
@@ -438,23 +446,27 @@ func Merge(snaps [][]TenantWindow, tenants, maxSize int, rate float64, scale int
 }
 
 // fenwick is a binary indexed tree over slot occupancy.
-type fenwick struct {
-	tree []int
-}
+type fenwick []int32
 
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
-
-func (f *fenwick) add(i, delta int) {
-	for i++; i < len(f.tree); i += i & (-i) {
-		f.tree[i] += delta
+func (f fenwick) add(i int, delta int32) {
+	for i++; i < len(f); i += i & (-i) {
+		f[i] += delta
 	}
 }
 
 // prefix sums occupancy over slots [0, i].
-func (f *fenwick) prefix(i int) int {
+func (f fenwick) prefix(i int) int {
 	s := 0
 	for i++; i > 0; i -= i & (-i) {
-		s += f.tree[i]
+		s += int(f[i])
 	}
 	return s
+}
+
+// fill sets the tree to slots [0, n) occupied and the rest free, in one
+// pass: node i covers slots [i−lowbit(i), i).
+func (f fenwick) fill(n int) {
+	for i := 1; i < len(f); i++ {
+		f[i] = int32(max(0, min(i, n)-(i-i&(-i))))
+	}
 }

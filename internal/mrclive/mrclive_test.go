@@ -3,6 +3,7 @@ package mrclive
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"convexcache/internal/analysis"
@@ -12,6 +13,8 @@ import (
 )
 
 // randomTrace builds a seeded multi-tenant trace with tenant-disjoint pages.
+// Its workload.PageOf ids are sparse; renamed makes them dense for a
+// sampler.
 func randomTrace(t *testing.T, seed int64, tenants, pagesPer, length int) *trace.Trace {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -23,9 +26,9 @@ func randomTrace(t *testing.T, seed int64, tenants, pagesPer, length int) *trace
 	return b.MustBuild()
 }
 
-// feed drives a whole trace through one sampler.
-func feed(s *Sampler, tr *trace.Trace) {
-	for _, r := range tr.Requests() {
+// feed drives a request stream through one sampler.
+func feed(s *Sampler, reqs []trace.Request) {
+	for _, r := range reqs {
 		s.Observe(r.Tenant, r.Page)
 	}
 }
@@ -33,7 +36,9 @@ func feed(s *Sampler, tr *trace.Trace) {
 // TestSamplerExactAtFullRate pins the degenerate case the whole design
 // hinges on: one sampler, rate 1, scale 1, window wider than the trace —
 // the streaming estimator IS incremental Mattson and must match the offline
-// per-tenant analysis bit for bit.
+// per-tenant analysis bit for bit. The sampler sees the trace under dense
+// ids; the offline analysis sees the original ids, which have the same
+// stack distances.
 func TestSamplerExactAtFullRate(t *testing.T) {
 	tr := randomTrace(t, 42, 3, 60, 30000)
 	maxSize := 96
@@ -44,7 +49,7 @@ func TestSamplerExactAtFullRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(s, tr)
+	feed(s, renamed(tr, 1))
 	curves := Merge([][]TenantWindow{s.Snapshot()}, 3, maxSize, 1, 1)
 	offline, err := analysis.PerTenant(tr, maxSize)
 	if err != nil {
@@ -175,8 +180,8 @@ func TestSamplerDeterministic(t *testing.T) {
 				}
 				samplers[i] = s
 			}
-			for _, r := range tr.Requests() {
-				samplers[int(uint64(r.Page)%uint64(n))].Observe(r.Tenant, r.Page)
+			for _, r := range renamed(tr, n) {
+				samplers[int(r.Page)%n].Observe(r.Tenant, r.Page)
 			}
 			snaps := make([][]TenantWindow, n)
 			for i, s := range samplers {
@@ -269,4 +274,54 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := (Controller{K: 4}).Plan(nil, nil, nil); err == nil {
 		t.Error("no curves accepted")
 	}
+}
+
+// BenchmarkObserve times Observe per key on shard 0 of a 2-shard service
+// (Scale 2) fed cmd/cachebench's adaptive mix: four tenants, two on
+// 4000-page Zipf sets and two on 64-page ones, swapping roles halfway, under
+// the adaptive workload's estimator config. Pages reach the shard by hash,
+// under the dense ids the shard interner assigns. One warm-up pass over the
+// stream runs before the timer, so allocs/key counts steady-state
+// allocations.
+func BenchmarkObserve(b *testing.B) {
+	phases := [][]string{
+		{"zipf:4000,0.9", "zipf:4000,0.9", "zipf:64,0.5", "zipf:64,0.5"},
+		{"zipf:64,0.5", "zipf:64,0.5", "zipf:4000,0.9", "zipf:4000,0.9"},
+	}
+	const keysPerPhase = 1 << 19
+	rng := rand.New(rand.NewSource(1))
+	ids := newDenseIDs(2)
+	var reqs []trace.Request
+	for ph, specs := range phases {
+		ss := make([]workload.Stream, len(specs))
+		for t, spec := range specs {
+			st, _, err := workload.ParseStream(spec, int64(t*1001+ph*7919))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ss[t] = st
+		}
+		for i := 0; i < keysPerPhase; i++ {
+			t := trace.Tenant(rng.Intn(len(ss)))
+			h := uint64(workload.PageOf(t, ss[t].Next())) * 0x9e3779b97f4a7c15
+			if id := ids.id(trace.PageID((h ^ h>>29) >> 2)); id%2 == 0 {
+				reqs = append(reqs, trace.Request{Tenant: t, Page: id})
+			}
+		}
+	}
+	s, err := NewSampler(Config{Tenants: 4, MaxSize: 4096, Rate: 1, Seed: 1, WindowEpochs: 8, EpochRequests: 4096, Scale: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	feed(s, reqs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := reqs[i%len(reqs)]
+		s.Observe(r.Tenant, r.Page)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/key")
 }

@@ -7,42 +7,58 @@ import (
 	"net/http"
 	"os"
 	"runtime/debug"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 type ctxKey int
 
-const (
-	ridKey ctxKey = iota
-	loggerKey
-)
+// reqKey carries a *reqInfo.
+const reqKey ctxKey = 0
+
+// reqInfo is what Middleware.Wrap puts in a request's context: the request
+// ID and the base logger that LoggerFrom tags with it.
+type reqInfo struct {
+	id  string
+	log *slog.Logger
+}
 
 // ridSeq and ridBase make request IDs unique within a process and unlikely
 // to collide across restarts (the base mixes the start time and the PID).
 var (
 	ridSeq  atomic.Int64
-	ridBase = fmt.Sprintf("%x-%x", time.Now().UnixNano()&0xffffff, os.Getpid()&0xffff)
+	ridBase = fmt.Sprintf("%x-%x-", time.Now().UnixNano()&0xffffff, os.Getpid()&0xffff)
 )
 
-// NewRequestID returns a fresh process-unique request ID.
+// NewRequestID returns a fresh process-unique request ID: the base, then
+// the sequence number zero-padded to at least six digits.
 func NewRequestID() string {
-	return fmt.Sprintf("%s-%06d", ridBase, ridSeq.Add(1))
+	var buf, digits [48]byte
+	b := append(buf[:0], ridBase...)
+	d := strconv.AppendInt(digits[:0], ridSeq.Add(1), 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // RequestIDFrom returns the request ID installed by Middleware.Wrap, or ""
 // outside an instrumented request.
 func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey).(string)
-	return id
+	if ri, ok := ctx.Value(reqKey).(*reqInfo); ok {
+		return ri.id
+	}
+	return ""
 }
 
-// LoggerFrom returns the per-request logger (already tagged with the
-// request ID) installed by Middleware.Wrap, or fallback when absent.
-// A nil fallback resolves to slog.Default().
+// LoggerFrom returns the middleware's logger tagged with the request ID
+// inside a request instrumented by Middleware.Wrap, or fallback outside
+// one. A nil fallback resolves to slog.Default().
 func LoggerFrom(ctx context.Context, fallback *slog.Logger) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok {
-		return l
+	if ri, ok := ctx.Value(reqKey).(*reqInfo); ok {
+		return ri.log.With("request_id", ri.id)
 	}
 	if fallback != nil {
 		return fallback
@@ -104,6 +120,14 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 	if base == nil {
 		base = slog.Default()
 	}
+	var (
+		inflight *Gauge
+		routes   *routeMetrics
+	)
+	if m.Reg != nil {
+		inflight = m.Reg.Gauge("http_inflight_requests")
+		routes = &routeMetrics{reg: m.Reg, m: make(map[routeStatus]routeHandles)}
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get("X-Request-ID")
@@ -111,18 +135,14 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 			rid = NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", rid)
-		reqLog := base.With("request_id", rid)
-		ctx := context.WithValue(r.Context(), ridKey, rid)
-		ctx = context.WithValue(ctx, loggerKey, reqLog)
+		ctx := context.WithValue(r.Context(), reqKey, &reqInfo{id: rid, log: base})
 		r = r.WithContext(ctx)
 
 		route := r.URL.Path
 		if m.Route != nil {
 			route = m.Route(r)
 		}
-		var inflight *Gauge
 		if m.Reg != nil {
-			inflight = m.Reg.Gauge("http_inflight_requests")
 			inflight.Add(1)
 		}
 		rw := &respWriter{ResponseWriter: w, status: http.StatusOK}
@@ -133,9 +153,10 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 				if m.Reg != nil {
 					m.Reg.Counter("http_panics_total").Inc()
 				}
-				reqLog.Error("panic in handler",
-					"method", r.Method, "route", route,
-					"panic", fmt.Sprint(panicked), "stack", string(debug.Stack()))
+				base.LogAttrs(ctx, slog.LevelError, "panic in handler",
+					slog.String("request_id", rid),
+					slog.String("method", r.Method), slog.String("route", route),
+					slog.String("panic", fmt.Sprint(panicked)), slog.String("stack", string(debug.Stack())))
 				if !rw.wrote {
 					rw.Header().Set("Content-Type", "application/json")
 					rw.WriteHeader(http.StatusInternalServerError)
@@ -145,17 +166,54 @@ func (m Middleware) Wrap(next http.Handler) http.Handler {
 			elapsed := time.Since(start)
 			if m.Reg != nil {
 				inflight.Add(-1)
-				m.Reg.Counter(fmt.Sprintf("http_requests_total{route=%q,code=\"%d\"}", route, rw.status)).Inc()
-				m.Reg.Histogram(fmt.Sprintf("http_request_duration_seconds{route=%q}", route), nil).
-					Observe(elapsed.Seconds())
+				h := routes.get(route, rw.status)
+				h.requests.Inc()
+				h.duration.Observe(elapsed.Seconds())
 			}
-			reqLog.Info("request",
-				"method", r.Method, "route", route, "path", r.URL.Path,
-				"status", rw.status, "bytes", rw.bytes,
-				"duration_ms", float64(elapsed.Microseconds())/1000,
-				"remote", r.RemoteAddr)
+			base.LogAttrs(ctx, slog.LevelInfo, "request",
+				slog.String("request_id", rid),
+				slog.String("method", r.Method), slog.String("route", route), slog.String("path", r.URL.Path),
+				slog.Int("status", rw.status), slog.Int64("bytes", rw.bytes),
+				slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
+				slog.String("remote", r.RemoteAddr))
 		}()
 
 		next.ServeHTTP(rw, r)
 	})
+}
+
+// routeMetrics resolves the per-(route, status) request counter and the
+// per-route latency histogram by name on the first request with that pair;
+// later requests find both handles with one map lookup.
+type routeMetrics struct {
+	reg *Registry
+	mu  sync.RWMutex
+	m   map[routeStatus]routeHandles
+}
+
+type routeStatus struct {
+	route  string
+	status int
+}
+
+type routeHandles struct {
+	requests *Counter
+	duration *Histogram
+}
+
+func (rm *routeMetrics) get(route string, status int) routeHandles {
+	k := routeStatus{route, status}
+	rm.mu.RLock()
+	h, ok := rm.m[k]
+	rm.mu.RUnlock()
+	if !ok {
+		h = routeHandles{
+			requests: rm.reg.Counter(fmt.Sprintf("http_requests_total{route=%q,code=\"%d\"}", route, status)),
+			duration: rm.reg.Histogram(fmt.Sprintf("http_request_duration_seconds{route=%q}", route), nil),
+		}
+		rm.mu.Lock()
+		rm.m[k] = h
+		rm.mu.Unlock()
+	}
+	return h
 }

@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -103,5 +105,53 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 		if !strings.Contains(logs, want) {
 			t.Errorf("access log missing %q:\n%s", want, logs)
 		}
+	}
+}
+
+// TestMiddlewareAccessLogShape pins the access line's keys and their order,
+// and that LoggerFrom tags a handler's own lines with the request ID.
+func TestMiddlewareAccessLogShape(t *testing.T) {
+	var logBuf bytes.Buffer
+	h := Middleware{Reg: NewRegistry(), Log: slog.New(slog.NewJSONHandler(&logBuf, nil))}.
+		Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			LoggerFrom(r.Context(), nil).Info("inner")
+			w.Write([]byte("ok"))
+		}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+	rid := rec.Header().Get("X-Request-ID")
+	if !regexp.MustCompile(`^[0-9a-f]+-[0-9a-f]+-[0-9]{6,}$`).MatchString(rid) {
+		t.Fatalf("request id %q not in the base-sequence format", rid)
+	}
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want the handler's line and the access line, got:\n%s", logBuf.String())
+	}
+	var inner map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &inner); err != nil {
+		t.Fatal(err)
+	}
+	if inner["msg"] != "inner" || inner["request_id"] != rid {
+		t.Fatalf("handler line %s: want msg inner with request_id %q", lines[0], rid)
+	}
+	dec := json.NewDecoder(strings.NewReader(lines[1]))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"time", "level", "msg", "request_id", "method", "route", "path", "status", "bytes", "duration_ms", "remote"}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Fatalf("access line keys %v, want %v", keys, want)
 	}
 }
