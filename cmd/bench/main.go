@@ -27,10 +27,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"runtime"
@@ -460,7 +465,54 @@ func liveSuite() []Result {
 	res := toResult(name, r)
 	res.ReqPerSec = float64(tr.Len()*r.N) / r.T.Seconds()
 	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
-	return []Result{res, verifyBench(reqs, tenants, costs), partitionBench()}
+	return []Result{res, verifyBench(reqs, tenants, costs), partitionBench(), handlerBench()}
+}
+
+// handlerBench measures POST /v1/cache through the service's HTTP handler
+// in process: body read, parse, Apply and the JSON reply. The bodies carry
+// 1024 keys each from cmd/cachebench's bulk tenant streams, sent in order to
+// a 2-shard, K=4096 ALG service without a WAL. Each iteration builds a fresh
+// service.
+func handlerBench() Result {
+	const name = "live/handler/n=2/k=4096"
+	const k, batch, length = 4096, 1024, 200 * 1024
+	tr := specTrace([]string{"zipf:8192,0.9", "zipf:8192,1.1", "uniform:4096", "hotset:4096,64,0.9,5000"}, length)
+	costs := benchCosts(tr.NumTenants())
+	var bodies [][]byte
+	var body []byte
+	for i, r := range tr.Requests() {
+		body = cached.FormatRequest(body, cached.Request{Op: cached.OpGet, Tenant: r.Tenant, Key: fmt.Appendf(nil, "p%d", r.Page)})
+		if (i+1)%batch == 0 {
+			bodies, body = append(bodies, body), nil
+		}
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	r := measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc, err := cached.New(cached.Config{
+				K: k, Shards: 2, Tenants: tr.NumTenants(),
+				NewPolicy: func() sim.Policy { return core.NewFast(core.Options{Costs: costs}) },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := svc.Handler(cached.HTTPConfig{Logger: logger})
+			for _, body := range bodies {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cache", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					svc.Close()
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+			svc.Close()
+		}
+	})
+	res := toResult(name, r)
+	res.ReqPerSec = float64(length*r.N) / r.T.Seconds()
+	fmt.Fprintf(os.Stderr, "bench: %-28s %12.0f req/s %8d allocs/op\n", name, res.ReqPerSec, res.AllocsPerOp)
+	return res
 }
 
 // partitionBench measures the adaptive per-key path in process: a 2-shard

@@ -1,9 +1,12 @@
 package cached
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 
@@ -113,41 +116,60 @@ func BenchmarkVerify(b *testing.B) {
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
+// bulkSource draws requests shaped like cmd/cachebench's bulk workload: its
+// four tenant streams, a tenant picked uniformly per key, keys "p<n>".
+type bulkSource struct {
+	streams []workload.Stream
+	rng     *rand.Rand
+}
+
+func newBulkSource(b *testing.B) *bulkSource {
+	b.Helper()
+	specs := []string{"zipf:8192,0.9", "zipf:8192,1.1", "uniform:4096", "hotset:4096,64,0.9,5000"}
+	src := &bulkSource{streams: make([]workload.Stream, len(specs)), rng: rand.New(rand.NewSource(1))}
+	for t, spec := range specs {
+		var err error
+		if src.streams[t], _, err = workload.ParseStream(spec, int64(1+t*1001)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return src
+}
+
+// fill overwrites reqs with the next len(reqs) GETs, their keys written to
+// arena from its start, and returns the arena.
+func (src *bulkSource) fill(reqs []Request, arena []byte) []byte {
+	arena = arena[:0]
+	for i := range reqs {
+		t := src.rng.Intn(len(src.streams))
+		start := len(arena)
+		arena = strconv.AppendInt(append(arena, 'p'), src.streams[t].Next(), 10)
+		reqs[i] = Request{Op: OpGet, Tenant: trace.Tenant(t), Key: arena[start:len(arena):len(arena)]}
+	}
+	return arena
+}
+
 // BenchmarkRecover times startup recovery of a 2-shard, K=4096 ALG service
 // from a WAL of 2^22 requests on the real filesystem, written in 1024-key
-// batches of the cachebench bulk workload's shape: its four tenant streams,
-// picked uniformly, keys "p<n>", under the default interval fsync. The WAL
-// is built once per sub-benchmark: crashed ends the writing service with
-// Crash, closed with a clean Close. One op is one New with Recover; it is
-// followed, untimed, by Crash, so nothing is written between ops and every
-// op recovers the same directory.
+// bulkSource batches under the default interval fsync. The WAL is built once
+// per sub-benchmark: crashed ends the writing service with Crash, closed
+// with a clean Close. One op is one New with Recover; it is followed,
+// untimed, by Crash, so nothing is written between ops and every op
+// recovers the same directory.
 func BenchmarkRecover(b *testing.B) {
 	const n, batch = 1 << 22, 1024
-	specs := []string{"zipf:8192,0.9", "zipf:8192,1.1", "uniform:4096", "hotset:4096,64,0.9,5000"}
 	for _, name := range []string{"crashed", "closed"} {
-		cfg := Config{K: 4096, Shards: 2, Tenants: len(specs), NewPolicy: benchPolicy,
+		src := newBulkSource(b)
+		cfg := Config{K: 4096, Shards: 2, Tenants: len(src.streams), NewPolicy: benchPolicy,
 			WAL: &WALConfig{Dir: b.TempDir()}}
 		svc, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		streams := make([]workload.Stream, len(specs))
-		for t, spec := range specs {
-			if streams[t], _, err = workload.ParseStream(spec, int64(1+t*1001)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(1))
 		reqs := make([]Request, batch)
 		arena := make([]byte, 0, 16*batch)
 		for sent := 0; sent < n; sent += batch {
-			arena = arena[:0]
-			for i := range reqs {
-				t := rng.Intn(len(specs))
-				start := len(arena)
-				arena = strconv.AppendInt(append(arena, 'p'), streams[t].Next(), 10)
-				reqs[i] = Request{Op: OpGet, Tenant: trace.Tenant(t), Key: arena[start:len(arena):len(arena)]}
-			}
+			arena = src.fill(reqs, arena)
 			if _, err := svc.Apply(reqs); err != nil {
 				b.Fatal(err)
 			}
@@ -177,4 +199,39 @@ func BenchmarkRecover(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/entry")
 		})
 	}
+}
+
+// BenchmarkHandleCache is POST /v1/cache through Service.Handler — body
+// read, parse, Apply and the JSON reply — with 1024-key bulkSource bodies
+// against a 2-shard, K=4096, 4-tenant ALG service without a WAL. One op is
+// one POST; 256 distinct bodies are sent in turn.
+func BenchmarkHandleCache(b *testing.B) {
+	const batch, nbodies = 1024, 256
+	src := newBulkSource(b)
+	reqs := make([]Request, batch)
+	var arena []byte
+	bodies := make([][]byte, nbodies)
+	for i := range bodies {
+		arena = src.fill(reqs, arena)
+		for _, r := range reqs {
+			bodies[i] = FormatRequest(bodies[i], r)
+		}
+	}
+	svc, err := New(Config{K: 4096, Shards: 2, Tenants: len(src.streams), NewPolicy: benchPolicy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler(quietHTTP())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/cache", bytes.NewReader(bodies[i%nbodies]))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -75,19 +77,55 @@ func FuzzCachedRequest(f *testing.F) {
 	})
 }
 
-// FuzzCachedBatch fuzzes the batch splitter around the line parser: no
-// panic, every returned request is individually valid, and a batch of
-// formatted requests always re-parses to the same sequence.
+// FuzzCachedBatch fuzzes the batch parser. Properties:
+//
+//   - it agrees with parseLines, the batch grammar spelled out over
+//     ParseRequest: the same lines accepted, the same requests, and the
+//     same "line N: …" error;
+//   - its requests alias body, as its contract says;
+//   - a batch of formatted requests always re-parses to the same sequence.
 func FuzzCachedBatch(f *testing.F) {
-	f.Add([]byte("GET 0 a\nPUT 1 b\n"), 4)
-	f.Add([]byte("GET 0 a\r\nPUT 1 b\r\n"), 4)
-	f.Add([]byte("\n\nGET 0 a\n\n"), 4)
-	f.Add([]byte("GET 0 a\nbogus\n"), 4)
-	f.Add([]byte("GET 0 trailing-no-newline"), 4)
+	long := strings.Repeat("k", MaxKeyLen)
+	for _, s := range []string{
+		"GET 0 a\nPUT 1 b\n",
+		"GET 0 a\r\nPUT 1 b\r\n",
+		"\n\nGET 0 a\n\n",
+		"GET 0 a\nbogus\n",
+		"GET 0 trailing-no-newline",
+		"\r\nGET 0 a\r\n\r\n\nPUT 3 b\r\n",
+		"GET 0 crlf\r\nGET 1 blank\n\r\n\nGET 0 bare-cr\r",
+		"GET 123456789 nine-digits\n",
+		"GET 1234567890 ten-digits\n",
+		"GET 0 a\nGET 07 leading-zero\n",
+		"GET 0 " + long + "\nPUT 1 " + long + "\n",
+		"GET 0 " + long + "x\n",
+		"GET 0 a\nGET 0 sp ace\n",
+		"GET 0 del\x7fbyte\n",
+		"GET 0 \x7f\nGET 0 \x20\n",
+		"PUT 0 abcdefgh\nPUT 1 abcdefg\x7f\nGET 2 last-no-newline",
+	} {
+		f.Add([]byte(s), 4)
+		f.Add([]byte(s), 0)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, tenants int) {
 		reqs, err := ParseBatch(body, tenants)
+		want, wantErr := parseLines(body, tenants)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ParseBatch error %v, line by line %v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if len(reqs) != len(want) {
+			t.Fatalf("ParseBatch returned %d requests, line by line %d", len(reqs), len(want))
+		}
+		for i := range reqs {
+			if reqs[i].Op != want[i].Op || reqs[i].Tenant != want[i].Tenant || !bytes.Equal(reqs[i].Key, want[i].Key) {
+				t.Fatalf("request %d: ParseBatch %+v, line by line %+v", i, reqs[i], want[i])
+			}
+			if k := reqs[i].Key; &k[0] != &want[i].Key[0] {
+				t.Fatalf("request %d's key does not alias the body", i)
+			}
 		}
 		var wire []byte
 		for _, r := range reqs {
@@ -106,6 +144,33 @@ func FuzzCachedBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parseLines is ParseBatch's contract spelled out over ParseRequest: lines
+// end at "\n" and count from 1, with no line after a final "\n"; one
+// trailing "\r" is dropped and blank lines are skipped; the first bad line
+// fails the batch, as does a line past maxBatchLines.
+func parseLines(body []byte, tenants int) ([]Request, error) {
+	lines := bytes.Split(body, []byte("\n"))
+	if len(lines[len(lines)-1]) == 0 {
+		lines = lines[:len(lines)-1]
+	}
+	var reqs []Request
+	for i, line := range lines {
+		if i == maxBatchLines {
+			return nil, fmt.Errorf("cached: batch exceeds %d lines", maxBatchLines)
+		}
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) == 0 {
+			continue
+		}
+		r, err := ParseRequest(line, tenants)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", i+1, err)
+		}
+		reqs = append(reqs, r)
+	}
+	return reqs, nil
 }
 
 // walSeedFrames is a valid single-shard partition-mode log as frame
