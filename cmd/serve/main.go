@@ -9,8 +9,8 @@
 // (-max-concurrent, -queue-depth, -queue-wait), per-client rate limiting
 // (-rate-rps, -rate-burst), the per-endpoint circuit breakers
 // (-breaker-failures, -breaker-open-for), and the async job subsystem
-// (-job-workers, -job-store, -checkpoint-every). -fault enables seeded
-// fault injection for chaos drills, e.g.
+// (-job-workers, -job-store); a resumed job replays from step 0. -fault
+// enables seeded fault injection for chaos drills, e.g.
 // -fault "seed=7,latency=20ms,latency_p=0.3,error_p=0.2,panic_p=0.05".
 //
 // Usage:
@@ -21,7 +21,7 @@
 //	      [-max-concurrent N] [-queue-depth N] [-queue-wait 10s]
 //	      [-rate-rps R] [-rate-burst B]
 //	      [-breaker-failures N] [-breaker-open-for 10s]
-//	      [-job-workers N] [-job-store N] [-checkpoint-every N]
+//	      [-job-workers N] [-job-store N]
 //	      [-fault "seed=7,error_p=0.2,..."]
 package main
 
@@ -67,7 +67,6 @@ func run() int {
 		breakOpenFor  = flag.Duration("breaker-open-for", 0, "cooldown before an open circuit half-opens (0 = default 10s)")
 		jobWorkers    = flag.Int("job-workers", 0, "async job worker-pool size (0 = default 2)")
 		jobStore      = flag.Int("job-store", 0, "max job records retained (0 = default 256)")
-		ckptEvery     = flag.Int("checkpoint-every", 0, "checkpoint cadence in steps for async alg jobs (0 = default 65536)")
 		faultSpec     = flag.String("fault", "", `fault-injection spec for chaos drills, e.g. "seed=7,latency=20ms,latency_p=0.3,error_p=0.2,panic_p=0.05"`)
 	)
 	flag.Parse()
@@ -94,9 +93,8 @@ func run() int {
 			OpenFor:          *breakOpenFor,
 		},
 		Jobs: resilience.JobsConfig{
-			Workers:         *jobWorkers,
-			MaxJobs:         *jobStore,
-			CheckpointEvery: *ckptEvery,
+			Workers: *jobWorkers,
+			MaxJobs: *jobStore,
 		},
 	}
 	if *faultSpec != "" {

@@ -81,7 +81,11 @@ func (st *handlerState) handleCache(w http.ResponseWriter, r *http.Request) {
 }
 
 func (st *handlerState) serveCache(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
-	if err := sc.read(http.MaxBytesReader(w, r.Body, st.MaxBody), min(r.ContentLength, st.MaxBody)); err != nil {
+	body, err := st.Body(w, r)
+	if err == nil {
+		err = sc.read(body, r.ContentLength)
+	}
+	if err != nil {
 		st.WriteError(w, r, http.StatusBadRequest, "bad_request", 0, fmt.Errorf("read request: %w", err))
 		return
 	}

@@ -261,11 +261,21 @@ func TestHTTPCacheBodyCap(t *testing.T) {
 	resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
 	refused("short body", resp, err, int64(len(short)+100))
 
+	// The announced case is refused before a byte of the body is read.
+	var read bytes.Buffer
+	req := httptest.NewRequest("POST", "/v1/cache", io.TeeReader(bytes.NewReader(big), &read))
+	req.ContentLength = int64(len(big))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"reason":"bad_request"`) || read.Len() != 0 {
+		t.Errorf("announced, in process: status %d after reading %d bytes: %s", rec.Code, read.Len(), rec.Body.String())
+	}
+
 	if after := svc.Stats(); !reflect.DeepEqual(after, before) {
 		t.Errorf("a refused body changed the stats:\n  before %+v\n  after  %+v", before, after)
 	}
 
-	rec := doText(t, svc.Handler(quietHTTP()), "POST", "/v1/cache", strings.Repeat("\n", 1<<20))
+	rec = doText(t, svc.Handler(quietHTTP()), "POST", "/v1/cache", strings.Repeat("\n", 1<<20))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "empty batch") {
 		t.Fatalf("1 MiB of blank lines: status %d: %s", rec.Code, rec.Body.String())
 	}

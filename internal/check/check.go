@@ -13,11 +13,12 @@
 //     (occupancy <= k, hit/miss/eviction accounting consistent with the
 //     returned Result, monotone cumulative convex cost).
 //
-//   - The differential oracles (DiffEngines, DiffPolicies, SnapshotRoundTrip,
-//     ResetReuse) replay one trace through pairs of implementations that must
-//     agree — dense engine vs map engine, core.Fast vs the Figure-3
-//     reference, snapshot/restore round-trips — and report the first
-//     diverging step together with a ddmin-minimized repro trace.
+//   - The differential oracles (DiffEngines, DiffPolicies, ResetReuse)
+//     replay one trace through pairs of implementations that must agree —
+//     dense engine vs map engine (counters and final core.FastSnapshot),
+//     core.Fast vs the Figure-3 reference, a reset instance vs a fresh one —
+//     and report the first diverging step together with a ddmin-minimized
+//     repro trace.
 //
 // cmd/check runs the full oracle matrix over generated workloads for CI, and
 // FuzzDifferential / FuzzInvariants drive the same checks from go fuzzing.

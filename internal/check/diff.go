@@ -193,71 +193,6 @@ func diffEnginesOnce(tr *trace.Trace, k int, mk func() sim.Policy) (*Divergence,
 	return nil, nil
 }
 
-// SnapshotRoundTrip checks core.Fast's checkpointing against itself: the
-// trace is split at every boundary in splits (fractions of the trace
-// length); the prefix is run, a snapshot is taken, restored into a fresh
-// instance, and the suffix is driven request by request on both the
-// original and the restored instance. Both must evict identically, and
-// Snapshot after Restore must reproduce the checkpoint exactly.
-func SnapshotRoundTrip(tr *trace.Trace, k int, opt core.Options, splits []float64) error {
-	for _, frac := range splits {
-		cut := int(frac * float64(tr.Len()))
-		if cut < 1 || cut >= tr.Len() {
-			continue
-		}
-		if err := snapshotRoundTripAt(tr, k, opt, cut); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func snapshotRoundTripAt(tr *trace.Trace, k int, opt core.Options, cut int) error {
-	reqs := tr.Requests()
-	orig := core.NewFast(opt)
-	origCache := sim.NewMapCache(orig, k)
-	for step, r := range reqs[:cut] {
-		if _, _, _, err := origCache.Access(step, r); err != nil {
-			return err
-		}
-	}
-	snap := orig.Snapshot()
-
-	restored := core.NewFast(opt)
-	if err := restored.Restore(snap); err != nil {
-		return fmt.Errorf("check: restore at step %d failed: %w", cut, err)
-	}
-	back := restored.Snapshot()
-	if !reflect.DeepEqual(normalizeSnapshot(snap), normalizeSnapshot(back)) {
-		return fmt.Errorf("check: snapshot round trip at step %d not identical:\n  before: %+v\n  after:  %+v", cut, snap, back)
-	}
-
-	// Resume both and require identical evictions on the suffix; the
-	// snapshot names the resident pages the restored side's cache needs.
-	cont := sim.NewMapCache(restored, k)
-	for p, t := range snap.ResidentPages() {
-		cont.Seed(p, t)
-	}
-	for step := cut; step < len(reqs); step++ {
-		_, ea, _, err := origCache.Access(step, reqs[step])
-		if err != nil {
-			return err
-		}
-		_, eb, _, err := cont.Access(step, reqs[step])
-		if err != nil {
-			return err
-		}
-		if ea != eb {
-			return &Divergence{
-				Step: step,
-				A:    fmt.Sprintf("uninterrupted evicts %d", ea),
-				B:    fmt.Sprintf("restored evicts %d", eb),
-			}
-		}
-	}
-	return nil
-}
-
 // normalizeSnapshot clears empty-vs-nil distinctions that DeepEqual would
 // flag but that carry no state.
 func normalizeSnapshot(s core.FastSnapshot) core.FastSnapshot {

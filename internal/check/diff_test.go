@@ -90,19 +90,12 @@ func TestDiffPoliciesDetectsRealDivergence(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripFastAllBackends(t *testing.T) {
-	tr := smallRandomTrace(21, 3, 7, 500)
-	opt := core.Options{Costs: oracleCosts(tr.NumTenants())}
-	if err := SnapshotRoundTrip(tr, 5, opt, []float64{0.1, 0.25, 0.5, 0.75, 0.9}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSnapshotTenantOrderRegression replays the committed minimized repro of
 // the snapshot nondeterminism the oracle found: Fast.Snapshot on the map
-// backend walked tenants in map iteration order, so multi-tenant round
-// trips reordered the serialized pages. Many rounds make the old map-order
-// behavior practically certain to trip.
+// backend walked tenants in map iteration order, so multi-tenant snapshots
+// reordered their pages. DiffEngines compares the final snapshots of a dense
+// and a map-engine run; many rounds make the old map-order behavior
+// practically certain to trip.
 func TestSnapshotTenantOrderRegression(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot-tenant-order.trace"))
 	if err != nil {
@@ -114,8 +107,12 @@ func TestSnapshotTenantOrderRegression(t *testing.T) {
 	}
 	opt := core.Options{Costs: []costfn.Func{costfn.Linear{W: 1}, costfn.Linear{W: 2}}}
 	for round := 0; round < 30; round++ {
-		if err := SnapshotRoundTrip(tr, 3, opt, []float64{0.5, 0.75}); err != nil {
+		div, err := DiffEngines(tr, 3, func() sim.Policy { return core.NewFast(opt) })
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if div != nil {
+			t.Fatalf("round %d: %v", round, div)
 		}
 	}
 }

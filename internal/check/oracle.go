@@ -226,12 +226,6 @@ func Oracles() []Oracle {
 		}})
 	}
 
-	// Snapshot/restore round trip at several cut points.
-	out = append(out, Oracle{Name: "snapshot/fast-round-trip", Run: func(tr *trace.Trace, k int) error {
-		opt := core.Options{Costs: oracleCosts(tr.NumTenants())}
-		return SnapshotRoundTrip(tr, k, opt, []float64{0.25, 0.5, 0.75})
-	}})
-
 	// Reset-reuse determinism and full invariant suites for every registry
 	// baseline (all are deterministic for a fixed seed) plus the paper's
 	// algorithm in both implementations.

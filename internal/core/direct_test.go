@@ -62,9 +62,10 @@ func directScripts() []directScript {
 //     most of them not the tenant's least-recent page (multipool migration);
 //   - an OnEvict with no following OnInsert (hierarchy's exclusive
 //     promotion);
-//   - OnHit and OnEvict on absent pages, which must be no-ops;
-//   - Restore, on the same instance and on a fresh one, then continuing
-//     (resilience job resume).
+//   - OnHit and OnEvict on absent pages, which must be no-ops.
+//
+// Draws 95–99 make no call and print nothing. They stay in the draw, so the
+// rng sequence, and with it the golden transcript, is the recorded one.
 func runDirectScript(sc directScript, w *strings.Builder) {
 	const (
 		k   = 7
@@ -146,18 +147,6 @@ func runDirectScript(sc directScript, w *strings.Builder) {
 				f.OnEvict(step, p)
 			}
 			fmt.Fprintf(w, "%d migrate %d pages %v | %s\n", op, t, ps, counters())
-		case x < 98:
-			if err := f.Restore(f.Snapshot()); err != nil {
-				panic(err)
-			}
-			fmt.Fprintf(w, "%d restore-self | %s\n", op, counters())
-		default:
-			g := NewFast(sc.opt)
-			if err := g.Restore(f.Snapshot()); err != nil {
-				panic(err)
-			}
-			f = g
-			fmt.Fprintf(w, "%d restore-fresh | %s\n", op, counters())
 		}
 	}
 	snap, err := json.Marshal(f.Snapshot())
@@ -168,9 +157,8 @@ func runDirectScript(sc directScript, w *strings.Builder) {
 }
 
 // TestFastDirectDriverContract pins Fast's behaviour under the direct
-// drivers — multipool, hierarchy, resilience jobs, the lower-bound
-// adversary — which call its sim.Policy methods outside the engine
-// protocol. Discrete cannot serve as the reference here (it stages each
+// drivers — multipool, hierarchy, the lower-bound adversary — which call
+// its sim.Policy methods outside the engine protocol. Discrete cannot serve as the reference here (it stages each
 // eviction until the next OnInsert), so the expected transcript is a golden
 // file: regenerate it with -update only when a behaviour change is meant.
 func TestFastDirectDriverContract(t *testing.T) {

@@ -31,12 +31,12 @@ import (
 // serves them over the trace's dense page indices, allocation-free, with
 // per-page and per-tenant state laid out hot/cold (see denseCore). Driven
 // through its sim.Policy methods — by the map engine (observed runs) or
-// directly by the lower-bound adversary, the hierarchy and multipool
-// substrates and the resilience jobs — the core's per-request methods serve
-// each call behind a PageID→record map that assigns an index on first
-// sight; per-tenant state grows on first sight too. A dense replay and a
-// direct drive never share state: PrepareDense starts a fresh replay, and
-// the first sim.Policy call after one starts a fresh drive.
+// directly by the lower-bound adversary and the hierarchy and multipool
+// substrates — the core's per-request methods serve each call behind a
+// PageID→record map that assigns an index on first sight; per-tenant state
+// grows on first sight too. A dense replay and a direct drive never share
+// state: PrepareDense starts a fresh replay, and the first sim.Policy call
+// after one starts a fresh drive.
 //
 // The open-world Open front end (the live cache service's shard engine)
 // composes the same per-request methods.
@@ -490,29 +490,6 @@ func (s *denseCore) pushFront(i trace.Tenant, p int32) {
 		t.tailPrev = -1
 	}
 	t.head = p
-}
-
-// pushBack links page p at the BACK of its owner's recency list — the
-// restore path's primitive: snapshots list pages most-recent-first, so
-// appending preserves recency order. p's pageRec age fields must be current.
-func (s *denseCore) pushBack(i trace.Tenant, p int32) {
-	t := &s.th[i]
-	tl := t.tail
-	s.pr[p].prev = tl
-	s.pr[p].next = -1
-	if tl >= 0 {
-		s.pr[tl].next = p
-		t.tailPrev = tl
-	} else {
-		t.head = p
-		t.tailPrev = -1
-	}
-	t.tail = p
-	t.tailAge = s.pr[p].ageStart
-	t.key = t.marg + t.tailAge
-	if s.vTen >= 0 {
-		s.noteKey(i)
-	}
 }
 
 // unlink removes page p from its owner's recency list, refreshing the

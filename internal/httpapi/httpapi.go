@@ -8,6 +8,7 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -127,6 +128,16 @@ func (a *API) Protect(endpoint string, next http.HandlerFunc) http.HandlerFunc {
 		next(sw, r)
 		completed = true
 	}
+}
+
+// Body returns r's body capped at MaxBody bytes. A body whose Content-Length
+// is over the cap is refused before a byte of it is read, with the error a
+// read past the cap returns.
+func (a *API) Body(w http.ResponseWriter, r *http.Request) (io.Reader, error) {
+	if r.ContentLength > a.MaxBody {
+		return nil, &http.MaxBytesError{Limit: a.MaxBody}
+	}
+	return http.MaxBytesReader(w, r.Body, a.MaxBody), nil
 }
 
 // AllowRate applies the per-client rate limit on its own, for routes

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"convexcache/internal/core"
 	"convexcache/internal/costfn"
 	"convexcache/internal/obs"
 	"convexcache/internal/sim"
@@ -25,9 +24,7 @@ const (
 	JobCancelled = "cancelled"
 )
 
-// JobSpec describes one replay to run asynchronously. Exactly one of
-// NewFast (checkpointable, the paper's algorithm) or NewPolicy must be set;
-// both must return a fresh instance per call.
+// JobSpec describes one replay to run asynchronously.
 type JobSpec struct {
 	// Label is the policy name for the result.
 	Label string
@@ -35,11 +32,8 @@ type JobSpec struct {
 	Trace *trace.Trace
 	// K is the cache size.
 	K int
-	// NewFast, when non-nil, selects the checkpointed runner: the job
-	// snapshots every CheckpointEvery steps and resumes after cancellation
-	// or a crash instead of restarting.
-	NewFast func() *core.Fast
-	// NewPolicy selects a plain (non-checkpointable) replay.
+	// NewPolicy returns a fresh policy instance; every run of the job,
+	// resumed ones included, takes its own.
 	NewPolicy func() sim.Policy
 	// Costs are kept with the job so the result can be priced.
 	Costs []costfn.Func
@@ -51,31 +45,32 @@ type JobStatus struct {
 	State string `json:"state"`
 	// Policy is the spec's Label (the requested policy name).
 	Policy string `json:"policy"`
-	// Step is the replay progress; TotalSteps the trace length.
+	// Step is the progress of the current run, which starts at 0 on every
+	// resume; TotalSteps is the trace length.
 	Step       int `json:"step"`
 	TotalSteps int `json:"total_steps"`
-	// CheckpointStep is the step a resume would restart from (0 = none).
-	CheckpointStep int `json:"checkpoint_step,omitempty"`
-	// Resumes counts how many times the job was re-queued from a checkpoint.
+	// Resumes counts how many times the job was queued again.
 	Resumes int `json:"resumes,omitempty"`
 	// Error is set for failed jobs.
 	Error string `json:"error,omitempty"`
 }
 
-// job is the internal record.
+// job is the internal record. A done job drops spec.Trace, so total keeps
+// the trace length.
 type job struct {
-	id   string
-	spec JobSpec
+	id    string
+	spec  JobSpec
+	total int
 
-	mu       sync.Mutex
-	state    string
-	step     int
-	err      error
-	result   *sim.Result
-	cp       *Checkpoint
-	resumes  int
-	cancel   context.CancelFunc
-	finished time.Time
+	mu    sync.Mutex
+	state string
+	step  int
+	// inQueue marks the job's one entry in Jobs.queue, from send to dequeue.
+	inQueue bool
+	err     error
+	result  *sim.Result
+	resumes int
+	cancel  context.CancelFunc
 }
 
 func (j *job) status() JobStatus {
@@ -86,11 +81,8 @@ func (j *job) status() JobStatus {
 		State:      j.state,
 		Policy:     j.spec.Label,
 		Step:       j.step,
-		TotalSteps: j.spec.Trace.Len(),
+		TotalSteps: j.total,
 		Resumes:    j.resumes,
-	}
-	if j.cp != nil {
-		st.CheckpointStep = j.cp.Step
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -103,12 +95,9 @@ type JobsConfig struct {
 	// Workers is the worker-pool size; <= 0 selects 2.
 	Workers int
 	// MaxJobs bounds the job store (records, running or finished); <= 0
-	// selects 256. When full, the oldest finished job is evicted; with no
-	// evictable record, Submit sheds.
+	// selects 256. When full, the oldest finished job with no queue entry
+	// is evicted; with no evictable record, Submit sheds.
 	MaxJobs int
-	// CheckpointEvery is the checkpoint cadence in steps for checkpointable
-	// jobs; <= 0 selects 65536.
-	CheckpointEvery int
 }
 
 func (c JobsConfig) withDefaults() JobsConfig {
@@ -118,15 +107,12 @@ func (c JobsConfig) withDefaults() JobsConfig {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1 << 16
-	}
 	return c
 }
 
 // Jobs runs replays asynchronously on a bounded worker pool so long work
 // never holds an HTTP connection, and crashes (worker panics) degrade to a
-// failed job with a retained checkpoint instead of a dead process.
+// failed job instead of a dead process.
 type Jobs struct {
 	cfg JobsConfig
 	reg *obs.Registry
@@ -149,14 +135,13 @@ var ErrUnknownJob = errors.New("resilience: unknown job id")
 // first Submit, so an idle instance costs no goroutines.
 func NewJobs(cfg JobsConfig, reg *obs.Registry) *Jobs {
 	cfg = cfg.withDefaults()
-	// The queue buffer is 2*MaxJobs: a job cancelled while queued leaves a
-	// stale channel entry behind (the worker skips it), and its Resume adds
-	// a second one, so entries can briefly exceed live jobs.
+	// A stored job has at most one queue entry and the store holds at most
+	// MaxJobs, so a buffer of MaxJobs never blocks a send.
 	return &Jobs{
 		cfg:    cfg,
 		reg:    reg,
 		jobs:   make(map[string]*job),
-		queue:  make(chan *job, 2*cfg.MaxJobs),
+		queue:  make(chan *job, cfg.MaxJobs),
 		closed: make(chan struct{}),
 	}
 }
@@ -211,8 +196,8 @@ func (js *Jobs) start() {
 // bounded: if no finished job can be evicted to make room, Submit sheds
 // with ReasonJobStoreFull.
 func (js *Jobs) Submit(spec JobSpec) (JobStatus, error) {
-	if spec.Trace == nil || spec.K <= 0 || (spec.NewFast == nil) == (spec.NewPolicy == nil) {
-		return JobStatus{}, errors.New("resilience: job spec needs a trace, a positive K, and exactly one runner")
+	if spec.Trace == nil || spec.K <= 0 || spec.NewPolicy == nil {
+		return JobStatus{}, errors.New("resilience: job spec needs a trace, a positive K, and a policy")
 	}
 	select {
 	case <-js.closed:
@@ -220,9 +205,11 @@ func (js *Jobs) Submit(spec JobSpec) (JobStatus, error) {
 	default:
 	}
 	j := &job{
-		id:    fmt.Sprintf("job-%06d", js.seq.Add(1)),
-		spec:  spec,
-		state: JobQueued,
+		id:      fmt.Sprintf("job-%06d", js.seq.Add(1)),
+		spec:    spec,
+		total:   spec.Trace.Len(),
+		state:   JobQueued,
+		inQueue: true,
 	}
 	js.mu.Lock()
 	if len(js.jobs) >= js.cfg.MaxJobs && !js.evictLocked() {
@@ -243,12 +230,13 @@ func (js *Jobs) Submit(spec JobSpec) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// evictLocked drops the oldest finished job; reports whether a slot freed.
+// evictLocked drops the oldest finished job that has no queue entry, so
+// that no entry outlives its record; reports whether a slot freed.
 func (js *Jobs) evictLocked() bool {
 	for i, id := range js.order {
 		j := js.jobs[id]
 		j.mu.Lock()
-		finished := j.state == JobDone || j.state == JobFailed || j.state == JobCancelled
+		finished := !j.inQueue && (j.state == JobDone || j.state == JobFailed || j.state == JobCancelled)
 		j.mu.Unlock()
 		if finished {
 			delete(js.jobs, id)
@@ -283,8 +271,8 @@ func (js *Jobs) Result(id string) (sim.Result, []costfn.Func, bool, error) {
 	return *j.result, j.spec.Costs, true, nil
 }
 
-// Cancel stops a queued or running job; its checkpoint (if any) is kept so
-// Resume can continue it. Cancelling a finished job is an error.
+// Cancel stops a queued or running job; Resume can queue it again.
+// Cancelling a finished job is an error.
 func (js *Jobs) Cancel(id string) (JobStatus, error) {
 	j, err := js.get(id)
 	if err != nil {
@@ -293,13 +281,12 @@ func (js *Jobs) Cancel(id string) (JobStatus, error) {
 	j.mu.Lock()
 	switch j.state {
 	case JobQueued:
-		j.state = JobCancelled // the worker skips it when dequeued
-		j.finished = time.Now()
+		j.state = JobCancelled // its entry stays queued; run skips it
 	case JobRunning:
 		if j.cancel != nil {
 			j.cancel()
 		}
-		// The worker moves it to cancelled when RunCheckpointed returns.
+		// The worker moves it to cancelled when the replay returns.
 	case JobCancelled:
 		// Idempotent.
 	default:
@@ -311,31 +298,42 @@ func (js *Jobs) Cancel(id string) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// Resume re-queues a cancelled or failed job; a checkpointable job restarts
-// from its last checkpoint, others from scratch.
+// Resume queues a cancelled or failed job again. It replays from step 0: the
+// policies are deterministic, so the result is the uninterrupted run's.
 func (js *Jobs) Resume(id string) (JobStatus, error) {
-	j, err := js.get(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
 	select {
 	case <-js.closed:
 		return JobStatus{}, errors.New("resilience: job subsystem closed")
 	default:
 	}
+	// js.mu, which eviction holds too, keeps the job stored until it has
+	// its queue entry.
+	js.mu.Lock()
+	j, ok := js.jobs[id]
+	if !ok {
+		js.mu.Unlock()
+		return JobStatus{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
 	j.mu.Lock()
 	if j.state != JobCancelled && j.state != JobFailed {
 		st := j.state
 		j.mu.Unlock()
+		js.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("resilience: cannot resume %s job %s", st, id)
 	}
 	j.state = JobQueued
 	j.err = nil
+	j.step = 0
 	j.resumes++
+	send := !j.inQueue // a job cancelled while queued keeps its entry
+	j.inQueue = true
 	j.mu.Unlock()
+	js.mu.Unlock()
 	js.start()
 	js.count("resilience_jobs_resumed_total")
-	js.queue <- j
+	if send {
+		js.queue <- j
+	}
 	return j.status(), nil
 }
 
@@ -349,20 +347,22 @@ func (js *Jobs) get(id string) (*job, error) {
 	return j, nil
 }
 
-// run executes one dequeued job. A panicking replay is recovered into a
-// failed job (checkpoint retained) — a crashed job must never take the
-// worker, let alone the process, down with it.
+// run executes one dequeued job on sim.RunContext, so the paper's algorithm
+// takes the batched dense engine. A panicking replay is recovered into a
+// failed job — a crashed job must never take the worker, let alone the
+// process, down with it.
 func (js *Jobs) run(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j.mu.Lock()
+	j.inQueue = false
 	if j.state != JobQueued { // cancelled while waiting in the queue
 		j.mu.Unlock()
 		return
 	}
 	j.state = JobRunning
 	j.cancel = cancel
-	from := j.cp
+	tr := j.spec.Trace
 	j.mu.Unlock()
 	js.gauge("resilience_jobs_running", 1)
 	defer js.gauge("resilience_jobs_running", -1)
@@ -374,32 +374,12 @@ func (js *Jobs) run(j *job) {
 		}
 	}()
 
-	var res sim.Result
-	var err error
-	if j.spec.NewFast != nil {
-		res, err = RunCheckpointed(ctx, j.spec.Trace, j.spec.NewFast(), j.spec.K,
-			js.cfg.CheckpointEvery,
-			from,
-			func(cp Checkpoint) {
-				j.mu.Lock()
-				j.cp = &cp
-				j.mu.Unlock()
-				js.count("resilience_job_checkpoints_total")
-			},
-			func(step int) {
-				j.mu.Lock()
-				j.step = step
-				j.mu.Unlock()
-			},
-		)
-	} else {
-		res, err = sim.RunContext(ctx, j.spec.Trace, j.spec.NewPolicy(),
-			sim.ConfigAt(j.spec.K).WithProgress(func(delta int) {
-				j.mu.Lock()
-				j.step += delta
-				j.mu.Unlock()
-			}))
-	}
+	res, err := sim.RunContext(ctx, tr, j.spec.NewPolicy(),
+		sim.ConfigAt(j.spec.K).WithProgress(func(delta int) {
+			j.mu.Lock()
+			j.step += delta
+			j.mu.Unlock()
+		}))
 	switch {
 	case err == nil:
 		js.finish(j, JobDone, &res, nil)
@@ -416,9 +396,9 @@ func (js *Jobs) finish(j *job, state string, res *sim.Result, err error) {
 	j.result = res
 	j.err = err
 	j.cancel = nil
-	j.finished = time.Now()
 	if res != nil {
 		j.step = res.Steps
+		j.spec.Trace = nil // a done job is never resumed, so never replayed
 	}
 	j.mu.Unlock()
 	js.count(fmt.Sprintf("resilience_jobs_finished_total{state=%q}", state))

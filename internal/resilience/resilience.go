@@ -15,9 +15,9 @@
 //   - RateLimiter: per-client token buckets keyed on a caller identity, so
 //     one noisy tenant cannot starve the shared wait queue.
 //   - Jobs: an async job subsystem running long replays on a bounded worker
-//     pool, checkpointing via the core.Fast snapshot machinery so a
-//     cancelled or crashed job resumes from its last checkpoint instead of
-//     restarting from scratch.
+//     pool through sim.RunContext. A cancelled or crashed job resumes by
+//     replaying from step 0; the policies are deterministic, so its result
+//     is bit-identical to an uninterrupted run's.
 //
 // Every component optionally reports into an internal/obs Registry; all
 // shed decisions share the resilience_shed_total{reason="..."} counter

@@ -16,10 +16,6 @@ type CompiledPolicy struct {
 	Label string
 	// New builds a fresh policy instance.
 	New func() sim.Policy
-	// NewFast is non-nil when the row is the paper's algorithm without a
-	// hook override — the checkpointable form the async job subsystem
-	// snapshots and resumes.
-	NewFast func() *core.Fast
 }
 
 // CompilePolicies resolves the scenario's policy list for a cache of size
@@ -55,9 +51,8 @@ func (sc *Scenario) compileOne(ps PolicySpec, spec policy.Spec, costs []costfn.F
 	case "alg":
 		opt := core.Options{Costs: costs, UseDiscreteDeriv: ps.DiscreteDeriv, CountMisses: ps.CountMisses}
 		return CompiledPolicy{
-			Label:   name,
-			New:     func() sim.Policy { return core.NewFast(opt) },
-			NewFast: func() *core.Fast { return core.NewFast(opt) },
+			Label: name,
+			New:   func() sim.Policy { return core.NewFast(opt) },
 		}, nil
 	case "alg-ref":
 		opt := core.Options{Costs: costs, UseDiscreteDeriv: ps.DiscreteDeriv, CountMisses: ps.CountMisses}

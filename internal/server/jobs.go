@@ -1,7 +1,7 @@
 // Async job API: long replays run on the resilience worker pool instead of
-// holding an HTTP connection. The paper's algorithm ("alg") runs under the
-// checkpointed runner, so a cancelled or crashed job resumes from its last
-// core.Fast snapshot; other policies re-run from scratch on resume.
+// holding an HTTP connection. A job runs through sim.RunContext, so the
+// paper's algorithm ("alg") takes the batched dense engine; a cancelled or
+// crashed job resumes by replaying from step 0.
 package server
 
 import (
@@ -19,7 +19,7 @@ type JobRequest struct {
 	Trace TraceJSON `json:"trace"`
 	// K is the cache size.
 	K int `json:"k"`
-	// Policy is a single policy name; "alg" (the default) is checkpointable.
+	// Policy is a single policy name; "alg" is the default.
 	Policy string `json:"policy"`
 	// Costs are per-tenant costfn.Parse specs.
 	Costs []string `json:"costs"`
@@ -83,14 +83,9 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	spec := resilience.JobSpec{Label: req.Policy, Trace: tr, K: req.K, Costs: costs}
-	if cp := compiled[0]; cp.NewFast != nil {
-		// The paper's algorithm runs under the checkpointed runner.
-		spec.NewFast = cp.NewFast
-	} else {
-		spec.NewPolicy = cp.New
-	}
-	st, err := s.jobs.Submit(spec)
+	st, err := s.jobs.Submit(resilience.JobSpec{
+		Label: req.Policy, Trace: tr, K: req.K, NewPolicy: compiled[0].New, Costs: costs,
+	})
 	if err != nil {
 		var sh *resilience.Shed
 		if errors.As(err, &sh) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -193,6 +194,24 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Errorf("trailing whitespace rejected: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDecodeRefusesAnnouncedOverCap: a JSON body whose Content-Length is
+// over the cap is refused before a byte of it is read.
+func TestDecodeRefusesAnnouncedOverCap(t *testing.T) {
+	sv := NewService(Config{MaxBodyBytes: 64})
+	defer sv.Close()
+	body := `{"k":2,"trace":[[0,1],[0,2],[0,1]]}` + strings.Repeat(" ", 64)
+	for _, path := range []string{"/v1/simulate", "/v1/jobs"} {
+		var read bytes.Buffer
+		req := httptest.NewRequest("POST", path, io.TeeReader(strings.NewReader(body), &read))
+		req.ContentLength = int64(len(body))
+		rec := httptest.NewRecorder()
+		sv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || decodeErr(t, rec).Reason != "bad_request" || read.Len() != 0 {
+			t.Errorf("%s: status %d after reading %d bytes: %s", path, rec.Code, read.Len(), rec.Body.String())
+		}
 	}
 }
 

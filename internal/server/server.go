@@ -10,8 +10,8 @@
 //	POST /v1/jobs              submit an async replay job (202)
 //	GET  /v1/jobs/{id}         job status
 //	GET  /v1/jobs/{id}/result  job result (409 until done)
-//	DELETE /v1/jobs/{id}       cancel a job (checkpoint retained)
-//	POST /v1/jobs/{id}/resume  re-queue a cancelled/failed job
+//	DELETE /v1/jobs/{id}       cancel a job
+//	POST /v1/jobs/{id}/resume  re-queue a cancelled/failed job from step 0
 //
 // Everything is stdlib net/http; request bodies are size-capped. Every route
 // is wrapped by the obs middleware stack: request IDs, structured access
@@ -131,9 +131,8 @@ func NewService(cfg Config) *Service {
 // Handler returns the root http.Handler.
 func (sv *Service) Handler() http.Handler { return sv.h }
 
-// Close stops the job workers, cancelling any running job (checkpoints are
-// retained in memory until the process exits, so tests can still inspect
-// them). Safe to call more than once.
+// Close stops the job workers, cancelling any running job. Safe to call
+// more than once.
 func (sv *Service) Close() { sv.svc.jobs.Close() }
 
 // New returns the service's http.Handler with default configuration.
@@ -488,8 +487,12 @@ func (s *service) handlePolicies(w http.ResponseWriter, r *http.Request) {
 // decode parses the size-capped JSON body into dst, rejecting unknown
 // fields and trailing garbage (`{}{"x":1}` must not parse as `{}`).
 func (s *service) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBody)
-	dec := json.NewDecoder(r.Body)
+	body, err := s.Body(w, r)
+	if err != nil {
+		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return false
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))

@@ -315,9 +315,8 @@ func runMap(ctx context.Context, tr *trace.Trace, p Policy, cfg Config) (Result,
 // through the Policy protocol — a hit calls OnHit; a miss asks Victim when
 // the cache is full, checks the victim is resident, then calls OnEvict and
 // OnInsert. It is the one copy of that protocol: the map engine, the
-// interactive engine and every caller that drives a Policy one request at a
-// time outside sim.Run (the checkpointed job runner, the live service's
-// baseline policies) step through it.
+// interactive engine and the live service's baseline policies, which drive
+// a Policy one request at a time outside sim.Run, step through it.
 type MapCache struct {
 	p        Policy
 	k        int
@@ -353,11 +352,6 @@ func (c *MapCache) Access(step int, r trace.Request) (hit bool, victim trace.Pag
 	c.p.OnInsert(step, r)
 	return false, victim, owner, nil
 }
-
-// Seed marks page p cached for tenant t without consulting the policy: the
-// cache side of resuming a run whose policy state was restored from a
-// checkpoint.
-func (c *MapCache) Seed(p trace.PageID, t trace.Tenant) { c.resident[p] = t }
 
 // Contains reports whether page p is cached.
 func (c *MapCache) Contains(p trace.PageID) bool { _, ok := c.resident[p]; return ok }
